@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .context import (
     AttrSet,
     CapacityError,
@@ -86,6 +88,61 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     return lectic_sorted(family, ctx.n_attrs)
 
 
+class _ScalarRules:
+    """Found basis rules as ``(premise, closure)`` int pairs, any width."""
+
+    def __init__(self) -> None:
+        self._rules: list[tuple[int, int]] = []
+
+    def add(self, premise: int, premise_closure: int) -> None:
+        self._rules.append((premise, premise_closure))
+
+    def preclose(self, x: int) -> int:
+        changed = True
+        while changed:
+            changed = False
+            for p, c in self._rules:
+                if p & x == p and p != x and c | x != x:
+                    x |= c
+                    changed = True
+        return x
+
+
+class _WordRules:
+    """Found basis rules as two growable ``uint64`` arrays, up to 64 attributes.
+
+    One preclosure round tests every rule at once and ORs together the
+    closures of all that fire.
+    """
+
+    def __init__(self) -> None:
+        self._premises = np.empty(64, dtype=np.uint64)
+        self._closures = np.empty(64, dtype=np.uint64)
+        self._count = 0
+
+    def add(self, premise: int, premise_closure: int) -> None:
+        if self._count == len(self._premises):
+            self._premises = np.resize(self._premises, 2 * self._count)
+            self._closures = np.resize(self._closures, 2 * self._count)
+        self._premises[self._count] = premise
+        self._closures[self._count] = premise_closure
+        self._count += 1
+
+    def preclose(self, x: int) -> int:
+        if not self._count:
+            return x
+        p = self._premises[: self._count]
+        c = self._closures[: self._count]
+        w = np.uint64(x)
+        while True:
+            hit = (p & ~w) == 0
+            hit &= p != w
+            y = w | np.bitwise_or.reduce(c[hit])
+            if y == w:
+                return int(w)
+            w = y
+
+
 def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     """Lectic walk of the quasi-closed sets, collecting basis premises.
 
@@ -95,28 +152,26 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     found so far, because every premise properly contained in the current
     candidate is lectically smaller.  Returns ``(premise, premise_closure)``
     pairs in lectic order.
+
+    Each candidate is preclosed: extended to the smallest superset ``y``
+    such that every found premise properly inside ``y`` has its closure in
+    ``y``.  A premise that fires at ``x`` fires at every superset of ``x``,
+    so that fixpoint does not depend on the order in which premises fire.
+    This lets contexts of up to 64 attributes fire all premises of a round
+    at once, on ``uint64`` words (``_WordRules``).  Wider contexts fire them
+    one at a time on Python ints (``_ScalarRules``); both give the same list.
     """
     n = ctx.n_attrs
     full = ctx.attribute_universe
     found: list[tuple[int, int]] = []
-
-    def preclose(x: int) -> int:
-        # Smallest superset of x closed under every found premise that is a
-        # proper subset of the running value.
-        changed = True
-        while changed:
-            changed = False
-            for p, c in found:
-                if p & x == p and p != x and c | x != x:
-                    x |= c
-                    changed = True
-        return x
+    rules = _WordRules() if n <= 64 else _ScalarRules()
 
     a = 0
     while True:
         ca = closure(ctx, a)
         if ca != a:
             found.append((a, ca))
+            rules.add(a, ca)
         if a == full:
             break
         nxt = None
@@ -126,7 +181,7 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
             if work & bit:
                 work ^= bit
             else:
-                cand = preclose(work | bit)
+                cand = rules.preclose(work | bit)
                 if not (cand & ~work) & (bit - 1):
                     nxt = cand
                     break
@@ -205,44 +260,84 @@ def enumerate_keys(ctx: FormalContext) -> list[AttrSet]:
     return lectic_sorted(keys, n)
 
 
-def enumerate_passkeys(
-    ctx: FormalContext, keys: list[AttrSet] | None = None
-) -> list[AttrSet]:
-    """Keys of minimum cardinality within their closure class, lectic order."""
-    if keys is None:
-        keys = enumerate_keys(ctx)
-    closures = [closure(ctx, k) for k in keys]
+class _Keys(list):
+    """A context's full key family carrying the closure of every key.
+
+    ``index_classes`` builds one and passes it as ``keys`` to the key-family
+    functions below, so that each key is closed once for all of them.
+    """
+
+    def __init__(self, ctx: FormalContext, keys: list[AttrSet]) -> None:
+        super().__init__(keys)
+        self.closures = {k: closure(ctx, k) for k in keys}
+
+
+def _key_closures(ctx: FormalContext, keys: list[AttrSet]) -> dict[AttrSet, AttrSet]:
+    """The closure of every key, in key order."""
+    if isinstance(keys, _Keys):
+        return keys.closures
+    return {k: closure(ctx, k) for k in keys}
+
+
+def _min_key_sizes(key_closures: dict[AttrSet, AttrSet]) -> dict[AttrSet, int]:
     best: dict[int, int] = {}
-    for k, c in zip(keys, closures):
+    for k, c in key_closures.items():
         size = k.bit_count()
         if c not in best or size < best[c]:
             best[c] = size
-    out = [k for k, c in zip(keys, closures) if k.bit_count() == best[c]]
+    return best
+
+
+def enumerate_passkeys(
+    ctx: FormalContext, keys: list[AttrSet] | None = None
+) -> list[AttrSet]:
+    """Keys of minimum cardinality within their closure class, lectic order.
+
+    ``keys``, when given, must be the context's full key family
+    (``enumerate_keys``).
+    """
+    if keys is None:
+        keys = enumerate_keys(ctx)
+    key_closures = _key_closures(ctx, keys)
+    best = _min_key_sizes(key_closures)
+    out = [k for k, c in key_closures.items() if k.bit_count() == best[c]]
     return lectic_sorted(out, ctx.n_attrs)
 
 
 def enumerate_proper_premises(
     ctx: FormalContext, keys: list[AttrSet] | None = None
 ) -> list[AttrSet]:
-    """All proper premises, in lectic order (every proper premise is a key)."""
+    """All proper premises, in lectic order (every proper premise is a key).
+
+    ``keys``, when given, must be the context's full key family
+    (``enumerate_keys``).  Every one-element-removed subset of a key is a
+    key (freeness is anti-monotone), so the closures the test needs are
+    those of the family.
+    """
     if keys is None:
         keys = enumerate_keys(ctx)
-    return [k for k in keys if is_proper_premise(ctx, k)]
+    key_closures = _key_closures(ctx, keys)
+    out = []
+    for k, c in key_closures.items():
+        u = k
+        for j in iter_bits(k):
+            u |= key_closures[k ^ (1 << j)]
+        if u != c:
+            out.append(k)
+    return out
 
 
 def min_key_sizes(
     ctx: FormalContext, keys: list[AttrSet] | None = None
 ) -> dict[AttrSet, int]:
-    """Minimum key cardinality per intent, keyed by the intent mask."""
+    """Minimum key cardinality per intent, keyed by the intent mask.
+
+    ``keys``, when given, must be the context's full key family
+    (``enumerate_keys``).
+    """
     if keys is None:
         keys = enumerate_keys(ctx)
-    best: dict[int, int] = {}
-    for k in keys:
-        c = closure(ctx, k)
-        size = k.bit_count()
-        if c not in best or size < best[c]:
-            best[c] = size
-    return best
+    return _min_key_sizes(_key_closures(ctx, keys))
 
 
 @dataclass
@@ -258,11 +353,12 @@ class ClassIndex:
 
 
 def index_classes(ctx: FormalContext) -> ClassIndex:
-    keys = enumerate_keys(ctx)
+    """Every characteristic family of ``ctx``; each key is closed once."""
+    keys = _Keys(ctx, enumerate_keys(ctx))
     return ClassIndex(
         intents=enumerate_intents(ctx),
         pseudo_intents=enumerate_pseudo_intents(ctx),
-        keys=keys,
+        keys=list(keys),
         passkeys=enumerate_passkeys(ctx, keys),
         proper_premises=enumerate_proper_premises(ctx, keys),
         min_key_size=min_key_sizes(ctx, keys),

@@ -12,6 +12,8 @@ shipped at ``fcakit/schemas/report.schema.json``.  Reports are byte-stable
 for fixed inputs, flags, and seed.
 
 Exit codes: 0 ok, 2 input error, 3 capacity exceeded, 4 internal error.
+Input errors are bad files and bad option values, checked here before any
+work starts; any other exception is an internal error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +54,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+
+
+class InputError(Exception):
+    """An option value the command cannot run with."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,12 @@ def summaries_to_csv(summaries: list[dict]) -> str:
 
 
 def _load_context(path: str, fmt: str | None, max_attrs: int | None) -> FormalContext:
-    text = Path(path).read_text(encoding="utf-8")
+    if max_attrs is not None and max_attrs < 0:
+        raise InputError("--max-attrs must be non-negative")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContextFormatError(f"{path!r} is not UTF-8 text: {exc}") from None
     if fmt is None:
         suffix = Path(path).suffix.lower()
         if suffix == ".cxt":
@@ -288,12 +300,19 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_randomize(args: argparse.Namespace) -> int:
-    ctx = _load_context(args.input, args.format, args.max_attrs)
     metrics = (
         tuple(m.strip() for m in args.metrics.split(",") if m.strip())
         if args.metrics
         else DEFAULT_METRICS
     )
+    unknown = sorted(set(metrics) - set(DEFAULT_METRICS))
+    if unknown:
+        raise InputError(f"unknown metrics: {unknown}")
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
+    ctx = _load_context(args.input, args.format, args.max_attrs)
     report = build_randomization_report(
         ctx,
         Path(args.input).stem,
@@ -371,16 +390,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContextFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ContextFormatError, InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"fcakit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
         print(f"fcakit: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
-        print(f"fcakit: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc()
         print(f"fcakit: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -124,6 +124,27 @@ def fuzz_contexts(
     return out
 
 
+def realistic_context(seed: int = 403) -> FormalContext:
+    """A seeded 403-object x 16-attribute context at realistic scale.
+
+    403 objects is the Bob Ross episode count.  Each column's density is
+    drawn from Beta(1, 4) (mean 0.2), then each of its cells is a cross with
+    that probability.  Small enough for the brute-force oracles.
+    """
+    rnd = random.Random(seed)
+    n_g, n_m = 403, 16
+    densities = [rnd.betavariate(1, 4) for _ in range(n_m)]
+    rows = tuple(
+        sum(1 << j for j, d in enumerate(densities) if rnd.random() < d)
+        for _ in range(n_g)
+    )
+    return FormalContext(
+        tuple(f"g{k}" for k in range(n_g)),
+        tuple(f"m{k}" for k in range(n_m)),
+        rows,
+    )
+
+
 @st.composite
 def contexts(draw, max_objects: int = 6, max_attrs: int = 8):
     n_m = draw(st.integers(0, max_attrs))

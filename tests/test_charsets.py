@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,7 +25,7 @@ from fcakit import (
     index_classes,
     is_proper_premise,
 )
-from fcakit.charsets import brute_force_all, min_key_sizes
+from fcakit.charsets import _canonical_basis_scan, brute_force_all, min_key_sizes
 from fcakit.context import bit_reverse
 
 from conftest import (
@@ -32,6 +34,7 @@ from conftest import (
     fuzz_contexts,
     names,
     nominal_context,
+    realistic_context,
     staircase_context,
 )
 
@@ -352,3 +355,107 @@ class TestClassAlgebra:
                     if p & b == p:
                         u |= c
                 assert u == closure(ctx, b)
+
+
+def scalar_basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
+    """Reference canonical-basis scan: one premise at a time on Python ints.
+
+    A copy of the library's original loop, kept as the twin of the
+    word-parallel kernel.
+    """
+    n = ctx.n_attrs
+    full = ctx.attribute_universe
+    found: list[tuple[int, int]] = []
+
+    def preclose(x: int) -> int:
+        changed = True
+        while changed:
+            changed = False
+            for p, c in found:
+                if p & x == p and p != x and c | x != x:
+                    x |= c
+                    changed = True
+        return x
+
+    a = 0
+    while True:
+        ca = closure(ctx, a)
+        if ca != a:
+            found.append((a, ca))
+        if a == full:
+            break
+        nxt = None
+        work = a
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if work & bit:
+                work ^= bit
+            else:
+                cand = preclose(work | bit)
+                if not (cand & ~work) & (bit - 1):
+                    nxt = cand
+                    break
+        if nxt is None:
+            break
+        a = nxt
+    return found
+
+
+def wide_context(width: int, n_objects: int, seed: int) -> FormalContext:
+    """Random rows over ``width`` attributes; odd objects have the top one."""
+    rnd = random.Random(seed)
+    top = 1 << (width - 1)
+    rows = []
+    for g in range(n_objects):
+        density = rnd.uniform(0.2, 0.8)
+        row = sum(1 << j for j in range(width) if rnd.random() < density)
+        rows.append(row | top if g % 2 else row & ~top)
+    return FormalContext(
+        tuple(f"g{k}" for k in range(n_objects)),
+        tuple(f"m{k}" for k in range(width)),
+        tuple(rows),
+    )
+
+
+class TestBasisScanKernels:
+    """The word-parallel scan (up to 64 attributes) and the scalar one for
+    wider contexts, each against the reference loop, list for list."""
+
+    def test_fuzz_corpus(self):
+        # The acceptance suite's corpus: substantial shapes, then degenerate ones.
+        corpus = fuzz_contexts(
+            170, max_objects=8, max_attrs=10, min_objects=4, min_attrs=6, seed=0xACCE
+        ) + fuzz_contexts(30, max_objects=4, max_attrs=4, seed=0xACCE + 1)
+        for ctx in corpus:
+            assert _canonical_basis_scan(ctx) == scalar_basis_scan(ctx)
+
+    @pytest.mark.parametrize("width", [62, 63, 64])
+    def test_word_path_near_64_bits(self, width):
+        ctx = wide_context(width, 6, seed=width)
+        found = _canonical_basis_scan(ctx)
+        assert found == scalar_basis_scan(ctx)
+        top = 1 << (width - 1)
+        assert any(p & top for p, _ in found)
+
+    @pytest.mark.parametrize("width", [65, 70])
+    def test_scalar_path_beyond_64_bits(self, width):
+        ctx = wide_context(width, 6, seed=width)
+        found = _canonical_basis_scan(ctx)
+        assert found == scalar_basis_scan(ctx)
+        assert any(p >> 64 for p, _ in found)
+
+
+def test_realistic_scale_families_match_oracle():
+    ctx = realistic_context()
+    index = index_classes(ctx)
+    oracle = brute_force_all(ctx)
+    assert index.intents == oracle["intent"]
+    assert index.pseudo_intents == oracle["pseudo_intent"]
+    assert index.keys == oracle["key"]
+    assert index.passkeys == oracle["passkey"]
+    assert index.proper_premises == oracle["proper_premise"]
+    smallest = {}
+    for k in oracle["key"]:
+        c = closure(ctx, k)
+        smallest[c] = min(smallest.get(c, k.bit_count()), k.bit_count())
+    assert index.min_key_size == smallest

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from fcakit import parse_burmeister, serialize_burmeister, serialize_dense_csv
+from fcakit import charsets, parse_burmeister, serialize_burmeister, serialize_dense_csv
 from fcakit.cli import main
 
 from conftest import DATA_DIR, nominal_context, staircase_context, toy_context
@@ -222,6 +222,39 @@ class TestExitCodes:
     def test_max_attrs_rejected_for_cxt(self, capsys):
         code, _ = run_cli(capsys, "analyze", str(TOY_CXT), "--max-attrs", "3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--trials", "0"),
+            ("--max-attrs", "-1"),
+            ("--metrics", "intent-count,bogus"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_bad_option_values_are_input_errors(self, capsys, tmp_path, flags):
+        path = tmp_path / "toy.csv"
+        path.write_text(serialize_dense_csv(toy_context()))
+        code = main(["randomize", str(path), "--strategy", "column", *flags])
+        assert code == 2
+        assert "fcakit: input error:" in capsys.readouterr().err
+
+    def test_non_utf8_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cxt"
+        text = serialize_burmeister(toy_context()).replace("g1", "g\xe9")
+        path.write_bytes(text.encode("latin-1"))
+        code, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+
+    def test_library_value_error_is_internal(self, capsys, monkeypatch):
+        def broken(ctx):
+            raise ValueError("duplicate intents")
+
+        monkeypatch.setattr(charsets, "index_classes", broken)
+        code = main(["analyze", str(TOY_CXT)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "fcakit: internal error: duplicate intents" in captured.err
 
     def test_capacity_exceeded(self, capsys, tmp_path):
         header = "id," + ",".join(f"m{i}" for i in range(26))
