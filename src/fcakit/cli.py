@@ -64,11 +64,7 @@ class InputError(Exception):
 class AnalysisReport:
     """Everything `analyze` reports about one dataset."""
 
-    dataset_name: str
-    n_objects: int
-    n_attrs: int
-    crosses: int
-    density: float
+    dataset: dict
     totals: dict[str, int]
     histograms: dict[str, dict[int, int]]
     linearity: float
@@ -81,7 +77,7 @@ class AnalysisReport:
             "schema_version": SCHEMA_VERSION,
             "kind": "analysis",
             "engine": {"name": "fcakit", "version": self.engine_version},
-            "dataset": _dataset_block(self),
+            "dataset": self.dataset,
             "classes": {
                 name: {
                     "total": self.totals[name],
@@ -96,13 +92,13 @@ class AnalysisReport:
         }
 
 
-def _dataset_block(report: AnalysisReport) -> dict:
+def _dataset_block(ctx: FormalContext, name: str) -> dict:
     return {
-        "name": report.dataset_name,
-        "objects": report.n_objects,
-        "attributes": report.n_attrs,
-        "crosses": report.crosses,
-        "density": report.density,
+        "name": name,
+        "objects": ctx.n_objects,
+        "attributes": ctx.n_attrs,
+        "crosses": ctx.crosses,
+        "density": ctx.density,
     }
 
 
@@ -124,11 +120,7 @@ def build_analysis_report(ctx: FormalContext, dataset_name: str) -> AnalysisRepo
         "passkeys": index.passkeys,
     }
     return AnalysisReport(
-        dataset_name=dataset_name,
-        n_objects=ctx.n_objects,
-        n_attrs=ctx.n_attrs,
-        crosses=ctx.crosses,
-        density=ctx.density,
+        dataset=_dataset_block(ctx, dataset_name),
         totals={name: len(masks) for name, masks in families.items()},
         histograms={name: _sizes(masks) for name, masks in families.items()},
         linearity=lattice.linearity(lat),
@@ -144,13 +136,7 @@ def build_indices_report(ctx: FormalContext, dataset_name: str) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "indices",
         "engine": {"name": "fcakit", "version": __version__},
-        "dataset": {
-            "name": dataset_name,
-            "objects": ctx.n_objects,
-            "attributes": ctx.n_attrs,
-            "crosses": ctx.crosses,
-            "density": ctx.density,
-        },
+        "dataset": _dataset_block(ctx, dataset_name),
         "concepts": len(intents),
         "linearity": lattice.linearity(lat),
         "distributivity": lattice.distributivity(lat),
@@ -182,13 +168,7 @@ def build_randomization_report(
         "schema_version": SCHEMA_VERSION,
         "kind": "randomization",
         "engine": {"name": "fcakit", "version": __version__},
-        "dataset": {
-            "name": dataset_name,
-            "objects": ctx.n_objects,
-            "attributes": ctx.n_attrs,
-            "crosses": ctx.crosses,
-            "density": ctx.density,
-        },
+        "dataset": _dataset_block(ctx, dataset_name),
         "strategy": strategy.value,
         "trials": n_trials,
         "seed": seed,

@@ -27,6 +27,14 @@ from .context import AttrSet, lectic_sorted
 # Below this many intents the pure-Python pair loops win over numpy setup.
 _VECTOR_THRESHOLD = 400
 
+# Membership pre-filter of the numpy union count: a 2^18-slot bool table
+# (256 KB) indexed by a Fibonacci hash of the mask.  Only a few percent of
+# pair unions are intents, so most are rejected by one table read instead of
+# a binary search over all intents.
+_FILTER_BITS = 18
+_FIB_MULT = np.uint64(0x9E3779B97F4A7C15)
+_FILTER_SHIFT = np.uint64(64 - _FILTER_BITS)
+
 
 @dataclass(frozen=True)
 class ConceptLattice:
@@ -68,9 +76,8 @@ class ConceptLattice:
 
 
 def build_lattice(intents: Sequence[AttrSet]) -> ConceptLattice:
-    """Order a list of intents into a lattice (duplicates are an error)."""
-    if len(set(intents)) != len(intents):
-        raise ValueError("duplicate intents")
+    """Order a list of intents into a lattice (duplicates are an error,
+    raised by `ConceptLattice`)."""
     width = max((m.bit_length() for m in intents), default=0)
     return ConceptLattice(tuple(lectic_sorted(intents, width)))
 
@@ -86,7 +93,7 @@ def count_comparable_pairs(lat: ConceptLattice) -> int:
     n = len(masks)
     if n <= 1:
         return 0
-    if n >= _VECTOR_THRESHOLD and max(m.bit_length() for m in masks) <= 63:
+    if n >= _VECTOR_THRESHOLD and max(m.bit_length() for m in masks) <= 64:
         arr = np.array(masks, dtype=np.uint64)
         total = 0
         for i in range(n - 1):
@@ -110,15 +117,21 @@ def count_union_closed_pairs(lat: ConceptLattice) -> int:
     n = len(masks)
     if n <= 1:
         return 0
-    if n >= _VECTOR_THRESHOLD and max(m.bit_length() for m in masks) <= 63:
+    if n >= _VECTOR_THRESHOLD and max(m.bit_length() for m in masks) <= 64:
         arr = np.array(masks, dtype=np.uint64)
-        table = np.sort(arr)
+        # Sorted intents plus a 0 sentinel at index n, where searchsorted puts
+        # unions above every intent; such a union is nonzero, so never equal.
+        table = np.append(np.sort(arr), np.uint64(0))
+        # Array-by-scalar uint64 products wrap silently, as the hash needs.
+        maybe_member = np.zeros(1 << _FILTER_BITS, dtype=bool)
+        maybe_member[(arr * _FIB_MULT) >> _FILTER_SHIFT] = True
         total = 0
         for i in range(n - 1):
             union = arr[i + 1 :] | arr[i]
-            pos = np.searchsorted(table, union)
-            pos_clipped = np.minimum(pos, n - 1)
-            total += int(np.count_nonzero((pos < n) & (table[pos_clipped] == union)))
+            # False positives only: the exact lookup below settles each one.
+            union = union[maybe_member[(union * _FIB_MULT) >> _FILTER_SHIFT]]
+            pos = np.searchsorted(table[:n], union)
+            total += int(np.count_nonzero(table[pos] == union))
         return total
     member = set(masks)
     total = 0

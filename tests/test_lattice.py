@@ -26,6 +26,7 @@ from conftest import (
     contranominal_context,
     fuzz_contexts,
     nominal_context,
+    realistic_context,
     staircase_context,
 )
 
@@ -142,3 +143,34 @@ class TestVectorizedPath:
             lat = build_lattice(enumerate_intents(ctx))
             assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
             assert count_union_closed_pairs(lat) == brute_union_closed(lat.intents)
+
+    @pytest.mark.parametrize("top_bit", [63, 70])
+    def test_masks_using_top_bit(self, top_bit):
+        # bit 63 still fits a uint64 word; bit 70 takes the pure-Python loop
+        rnd = random.Random(top_bit)
+        masks = list(
+            {rnd.getrandbits(10) | (rnd.getrandbits(1) << top_bit) for _ in range(900)}
+        )
+        assert len(masks) >= 400 and max(masks).bit_length() == top_bit + 1
+        lat = ConceptLattice(tuple(masks))
+        assert count_comparable_pairs(lat) == brute_comparable(masks)
+        assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+
+    def test_realistic_lattice_matches_pair_scan(self):
+        lat = build_lattice(enumerate_intents(realistic_context()))
+        assert len(lat) == 1658
+        assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
+        assert count_union_closed_pairs(lat) == brute_union_closed(lat.intents)
+
+    def test_every_union_a_member(self):
+        lat = build_lattice(list(range(1 << 9)))
+        n = len(lat)
+        assert count_union_closed_pairs(lat) == n * (n - 1) // 2
+        assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
+
+    def test_no_union_a_member(self):
+        masks = [(1 << a) | (1 << b) for a, b in combinations(range(30), 2)]
+        lat = build_lattice(masks)
+        assert len(lat) == 435
+        assert count_union_closed_pairs(lat) == 0
+        assert count_comparable_pairs(lat) == 0
