@@ -20,6 +20,7 @@ output is returned in lectic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -89,7 +90,11 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
 
 
 class _ScalarRules:
-    """Found basis rules as ``(premise, closure)`` int pairs, any width."""
+    """Found basis rules as ``(premise, closure)`` int pairs, any width.
+
+    ``preclose`` fires one rule at a time and gives up on the first one that
+    adds a ``forbidden`` bit.
+    """
 
     def __init__(self) -> None:
         self._rules: list[tuple[int, int]] = []
@@ -97,13 +102,15 @@ class _ScalarRules:
     def add(self, premise: int, premise_closure: int) -> None:
         self._rules.append((premise, premise_closure))
 
-    def preclose(self, x: int) -> int:
+    def preclose(self, x: int, forbidden: int) -> int | None:
         changed = True
         while changed:
             changed = False
             for p, c in self._rules:
-                if p & x == p and p != x and c | x != x:
+                if p & x == p and c | x != x:
                     x |= c
+                    if x & forbidden:
+                        return None
                     changed = True
         return x
 
@@ -112,7 +119,8 @@ class _WordRules:
     """Found basis rules as two growable ``uint64`` arrays, up to 64 attributes.
 
     One preclosure round tests every rule at once and ORs together the
-    closures of all that fire.
+    closures of all that fire; ``preclose`` gives up after the first round
+    that adds a ``forbidden`` bit.
     """
 
     def __init__(self) -> None:
@@ -128,16 +136,16 @@ class _WordRules:
         self._closures[self._count] = premise_closure
         self._count += 1
 
-    def preclose(self, x: int) -> int:
+    def preclose(self, x: int, forbidden: int) -> int | None:
         if not self._count:
             return x
         p = self._premises[: self._count]
         c = self._closures[: self._count]
         w = np.uint64(x)
         while True:
-            hit = (p & ~w) == 0
-            hit &= p != w
-            y = w | np.bitwise_or.reduce(c[hit])
+            y = np.bitwise_or.reduce(c, where=(p & ~w) == 0, initial=w)
+            if int(y) & forbidden:
+                return None
             if y == w:
                 return int(w)
             w = y
@@ -160,6 +168,17 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     This lets contexts of up to 64 attributes fire all premises of a round
     at once, on ``uint64`` words (``_WordRules``).  Wider contexts fire them
     one at a time on Python ints (``_ScalarRules``); both give the same list.
+
+    The candidate after ``a`` at attribute ``i`` is rejected when its
+    preclosure gains an attribute before ``i`` that ``a`` lacks (the
+    ``forbidden`` mask).  Preclosure only adds attributes, so the stores
+    reject a candidate as soon as one of its steps gains such an attribute,
+    without running to the fixpoint.
+
+    The stores fire a premise contained in ``x`` even when it equals ``x``,
+    which is safe here: every set they test agrees with ``a`` on the
+    attributes before ``i`` and holds ``i``, which ``a`` lacks, so it is
+    lectically greater than ``a`` and than every premise found so far.
     """
     n = ctx.n_attrs
     full = ctx.attribute_universe
@@ -181,9 +200,8 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
             if work & bit:
                 work ^= bit
             else:
-                cand = rules.preclose(work | bit)
-                if not (cand & ~work) & (bit - 1):
-                    nxt = cand
+                nxt = rules.preclose(work | bit, ~work & (bit - 1))
+                if nxt is not None:
                     break
         if nxt is None:
             break
@@ -263,13 +281,18 @@ def enumerate_keys(ctx: FormalContext) -> list[AttrSet]:
 class _Keys(list):
     """A context's full key family carrying the closure of every key.
 
-    ``index_classes`` builds one and passes it as ``keys`` to the key-family
-    functions below, so that each key is closed once for all of them.
+    ``index_classes`` and ``randomize.evaluate_metrics`` build one and pass
+    it as ``keys`` to the key-family functions below, so that each key is
+    closed once for all of them, and only if one of them needs it.
     """
 
     def __init__(self, ctx: FormalContext, keys: list[AttrSet]) -> None:
         super().__init__(keys)
-        self.closures = {k: closure(ctx, k) for k in keys}
+        self._ctx = ctx
+
+    @cached_property
+    def closures(self) -> dict[AttrSet, AttrSet]:
+        return {k: closure(self._ctx, k) for k in self}
 
 
 def _key_closures(ctx: FormalContext, keys: list[AttrSet]) -> dict[AttrSet, AttrSet]:

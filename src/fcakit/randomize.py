@@ -150,8 +150,10 @@ def evaluate_metrics(
         return cache["intents"]  # type: ignore[return-value]
 
     def keys() -> list[int]:
+        # The key family carries its closure map, shared by passkeys and
+        # proper premises.
         if "keys" not in cache:
-            cache["keys"] = charsets.enumerate_keys(ctx)
+            cache["keys"] = charsets._Keys(ctx, charsets.enumerate_keys(ctx))
         return cache["keys"]  # type: ignore[return-value]
 
     def lat() -> lattice.ConceptLattice:

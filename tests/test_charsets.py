@@ -25,7 +25,13 @@ from fcakit import (
     index_classes,
     is_proper_premise,
 )
-from fcakit.charsets import _canonical_basis_scan, brute_force_all, min_key_sizes
+from fcakit.charsets import (
+    _canonical_basis_scan,
+    _ScalarRules,
+    _WordRules,
+    brute_force_all,
+    min_key_sizes,
+)
 from fcakit.context import bit_reverse
 
 from conftest import (
@@ -417,6 +423,47 @@ def wide_context(width: int, n_objects: int, seed: int) -> FormalContext:
     )
 
 
+def reference_preclose(rules: list[tuple[int, int]], x: int) -> int:
+    """Plain fixpoint: a rule fires when its premise is a proper subset."""
+    changed = True
+    while changed:
+        changed = False
+        for p, c in rules:
+            if p & x == p and p != x and c | x != x:
+                x |= c
+                changed = True
+    return x
+
+
+def scan_step_case(
+    rnd: random.Random, width: int
+) -> tuple[list[tuple[int, int]], int, int]:
+    """Random rules and a candidate shaped like one step of the basis scan.
+
+    Every mask uses ten random attributes out of ``width``, the top one
+    always among them.  The candidate ``x`` is ``work | bit`` for some
+    attribute ``i`` and ``work`` before it, plus attributes after ``i``;
+    ``forbidden`` is the attributes before ``i`` that ``work`` lacks.  As in
+    the scan, no premise agrees with ``x`` on the attributes up to ``i``.
+    Returns ``(rules, x, forbidden)``; closures contain their premises.
+    """
+    attrs = rnd.sample(range(width - 1), 9) + [width - 1]
+
+    def subset(prob: float) -> int:
+        return sum(1 << j for j in attrs if rnd.random() < prob)
+
+    bit = 1 << rnd.choice(attrs)
+    head = (bit << 1) - 1
+    work = subset(0.5) & (bit - 1)
+    x = work | bit | (subset(0.3) & ~head)
+    rules = []
+    for _ in range(rnd.randint(0, 100)):
+        p = subset(0.4)
+        if p & head != x & head:
+            rules.append((p, p | subset(0.1)))
+    return rules, x, ~work & (bit - 1)
+
+
 class TestBasisScanKernels:
     """The word-parallel scan (up to 64 attributes) and the scalar one for
     wider contexts, each against the reference loop, list for list."""
@@ -443,6 +490,33 @@ class TestBasisScanKernels:
         found = _canonical_basis_scan(ctx)
         assert found == scalar_basis_scan(ctx)
         assert any(p >> 64 for p, _ in found)
+
+    @pytest.mark.parametrize("store, width", [(_WordRules, 64), (_ScalarRules, 70)])
+    def test_preclose_rejects_exactly_when_fixpoint_meets_forbidden(
+        self, store, width
+    ):
+        rnd = random.Random(width)
+        top = 1 << (width - 1)
+        rejected = kept = gained_top = 0
+        for _ in range(400):
+            rules, x, forbidden = scan_step_case(rnd, width)
+            rs = store()
+            for p, c in rules:
+                rs.add(p, c)
+            want = reference_preclose(rules, x)
+            got = rs.preclose(x, forbidden)
+            if want & forbidden:
+                assert got is None
+                rejected += 1
+            else:
+                assert got == want
+                kept += 1
+                gained_top += bool(want & top and not x & top)
+        assert rejected > 50 and kept > 50 and gained_top > 5
+
+    def test_realistic_scale(self):
+        ctx = realistic_context()
+        assert _canonical_basis_scan(ctx) == scalar_basis_scan(ctx)
 
 
 def test_realistic_scale_families_match_oracle():

@@ -9,12 +9,19 @@ from fcakit import (
     Strategy,
     column_shuffle,
     density_shuffle,
+    index_classes,
     run_trials,
     summarize,
 )
 from fcakit.randomize import DEFAULT_METRICS, derive_trial_seed, evaluate_metrics, shuffle
 
-from conftest import ctx_of, fuzz_contexts, grouped_demo_context, toy_context
+from conftest import (
+    ctx_of,
+    fuzz_contexts,
+    grouped_demo_context,
+    realistic_context,
+    toy_context,
+)
 
 
 class TestDensityShuffle:
@@ -211,3 +218,28 @@ class TestEvaluateMetrics:
         assert values[("pseudo-intent-count", 2)] == 1.0  # {c,d}
         assert values[("pseudo-intent-count", 3)] == 1.0  # {a,b,c}
         assert 0.0 <= values[("linearity", None)] <= 1.0
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [DEFAULT_METRICS, ("key-count",), ("passkey-count",), ("proper-premise-count",)],
+        ids=["all", "keys", "passkeys", "proper-premises"],
+    )
+    def test_counts_match_index_classes(self, metrics):
+        families = {
+            "intent-count": "intents",
+            "pseudo-intent-count": "pseudo_intents",
+            "key-count": "keys",
+            "passkey-count": "passkeys",
+            "proper-premise-count": "proper_premises",
+        }
+        for ctx in fuzz_contexts(20, seed=7) + [realistic_context()]:
+            index = index_classes(ctx)
+            values = evaluate_metrics(ctx, metrics)
+            for metric in set(metrics) & set(families):
+                members = getattr(index, families[metric])
+                want = {(metric, None): float(len(members))}
+                for mask in members:
+                    key = (metric, mask.bit_count())
+                    want[key] = want.get(key, 0.0) + 1.0
+                got = {k: v for k, v in values.items() if k[0] == metric}
+                assert got == want
