@@ -30,10 +30,12 @@ from .context import (
     AttrSet,
     CapacityError,
     FormalContext,
+    ObjSet,
     POWERSET_SCAN_LIMIT,
     bit_reverse,
     closure,
     extent,
+    intent_of,
     iter_bits,
     iter_lectic_masks,
     lectic_sorted,
@@ -81,12 +83,34 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
 
     Every intent is the intersection of some subfamily of object rows (the
     empty subfamily giving the full attribute set), so one incremental pass
-    over the rows collects exactly the closure fixed points.
+    over the distinct rows collects exactly the closure fixed points.  The
+    family stays closed under intersection after every row: meeting it with
+    a row adds the intersections that take that row in, and only those.  So
+    the result is exactly the set of row intersections plus the universe.
+
+    Contexts of up to 64 attributes keep the family as a sorted ``uint64``
+    array: each row meets all members at once, the new meets are found by
+    binary search, and a stable sort merges the two sorted runs in linear
+    time.  Wider contexts use a Python set; both give the same list.
     """
-    family = {ctx.attribute_universe}
-    for row in ctx.rows:
-        family.update([f & row for f in family])
-    return lectic_sorted(family, ctx.n_attrs)
+    n = ctx.n_attrs
+    if n > 64:
+        family = {ctx.attribute_universe}
+        for row in ctx.rows:
+            family.update([f & row for f in family])
+        return lectic_sorted(family, n)
+    # The universe is the largest word and always a member, so every search
+    # position below is a valid index.
+    fam = np.array([ctx.attribute_universe], dtype=np.uint64)
+    for row in dict.fromkeys(ctx.rows):
+        cand = np.sort(fam & np.uint64(row))
+        distinct = np.ones(len(cand), dtype=bool)
+        np.not_equal(cand[1:], cand[:-1], out=distinct[1:])
+        cand = cand[distinct]
+        new = cand[fam[np.searchsorted(fam, cand)] != cand]
+        if len(new):
+            fam = np.sort(np.concatenate((fam, new)), kind="stable")
+    return lectic_sorted(fam.tolist(), n)
 
 
 class _ScalarRules:
@@ -252,11 +276,14 @@ def enumerate_keys(ctx: FormalContext) -> list[AttrSet]:
     subset is a key (freeness is anti-monotone), so level ``k + 1``
     candidates are built from level-``k`` keys and rejected as soon as a
     single-element removal preserves the extent.
+
+    The list returned also carries the extent of every key it found, so the
+    key-family functions below close each key from its extent.
     """
     n = ctx.n_attrs
     cols = ctx.columns
-    keys: list[int] = [0]
-    prev: dict[int, int] = {0: ctx.object_universe}
+    extents: dict[int, int] = {0: ctx.object_universe}
+    prev = extents.copy()
     while prev:
         cur: dict[int, int] = {}
         for kmask, kext in prev.items():
@@ -273,26 +300,30 @@ def enumerate_keys(ctx: FormalContext) -> list[AttrSet]:
                         break
                 if good:
                     cur[cand] = cext
-        keys.extend(cur)
+        extents.update(cur)
         prev = cur
-    return lectic_sorted(keys, n)
+    return _Keys(ctx, lectic_sorted(extents, n), extents)
 
 
 class _Keys(list):
-    """A context's full key family carrying the closure of every key.
+    """A context's full key family, carrying the extent of every key.
 
-    ``index_classes`` and ``randomize.evaluate_metrics`` build one and pass
-    it as ``keys`` to the key-family functions below, so that each key is
-    closed once for all of them, and only if one of them needs it.
+    ``enumerate_keys`` returns one; ``index_classes`` and
+    ``randomize.evaluate_metrics`` pass it as ``keys`` to the key-family
+    functions below, so that each key is closed once for all of them, from
+    the extent the search already holds, and only if one of them needs it.
     """
 
-    def __init__(self, ctx: FormalContext, keys: list[AttrSet]) -> None:
+    def __init__(
+        self, ctx: FormalContext, keys: list[AttrSet], extents: dict[AttrSet, ObjSet]
+    ) -> None:
         super().__init__(keys)
         self._ctx = ctx
+        self._extents = extents
 
     @cached_property
     def closures(self) -> dict[AttrSet, AttrSet]:
-        return {k: closure(self._ctx, k) for k in self}
+        return {k: intent_of(self._ctx, self._extents[k]) for k in self}
 
 
 def _key_closures(ctx: FormalContext, keys: list[AttrSet]) -> dict[AttrSet, AttrSet]:
@@ -377,7 +408,7 @@ class ClassIndex:
 
 def index_classes(ctx: FormalContext) -> ClassIndex:
     """Every characteristic family of ``ctx``; each key is closed once."""
-    keys = _Keys(ctx, enumerate_keys(ctx))
+    keys = enumerate_keys(ctx)
     return ClassIndex(
         intents=enumerate_intents(ctx),
         pseudo_intents=enumerate_pseudo_intents(ctx),

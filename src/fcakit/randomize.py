@@ -153,7 +153,7 @@ def evaluate_metrics(
         # The key family carries its closure map, shared by passkeys and
         # proper premises.
         if "keys" not in cache:
-            cache["keys"] = charsets._Keys(ctx, charsets.enumerate_keys(ctx))
+            cache["keys"] = charsets.enumerate_keys(ctx)
         return cache["keys"]  # type: ignore[return-value]
 
     def lat() -> lattice.ConceptLattice:

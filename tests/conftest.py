@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import faulthandler
 import io
 import os
 import random
@@ -162,6 +163,35 @@ def contexts(draw, max_objects: int = 6, max_attrs: int = 8):
 @pytest.fixture
 def toy() -> FormalContext:
     return toy_context()
+
+
+# The slowest test takes about a second.
+TEST_TIME_LIMIT_S = 60
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is suspended while plugins configure, so this copies
+    # the terminal's stderr rather than a capture file.
+    config.stash[_STDERR_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def _exit_on_hang(request):
+    """End the whole run with a non-zero status if one test runs too long.
+
+    A kernel that never reaches its fixpoint must fail the suite, not hang
+    it.  Every thread's traceback goes to the terminal's stderr first.
+    """
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT_S, exit=True, file=request.config.stash[_STDERR_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 # ---------------------------------------------------------------------------

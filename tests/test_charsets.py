@@ -32,7 +32,7 @@ from fcakit.charsets import (
     brute_force_all,
     min_key_sizes,
 )
-from fcakit.context import bit_reverse
+from fcakit.context import bit_reverse, lectic_sorted
 
 from conftest import (
     contexts,
@@ -533,3 +533,88 @@ def test_realistic_scale_families_match_oracle():
         c = closure(ctx, k)
         smallest[c] = min(smallest.get(c, k.bit_count()), k.bit_count())
     assert index.min_key_size == smallest
+
+
+def set_intents(ctx: FormalContext) -> list[int]:
+    """Reference intent enumeration: one Python set, any width.
+
+    A copy of the library's original loop, kept as the twin of the
+    word-parallel kernel.
+    """
+    family = {ctx.attribute_universe}
+    for row in ctx.rows:
+        family.update([f & row for f in family])
+    return lectic_sorted(family, ctx.n_attrs)
+
+
+def acceptance_corpus() -> list[FormalContext]:
+    """The acceptance suite's corpus: substantial shapes, then degenerate ones."""
+    return fuzz_contexts(
+        170, max_objects=8, max_attrs=10, min_objects=4, min_attrs=6, seed=0xACCE
+    ) + fuzz_contexts(30, max_objects=4, max_attrs=4, seed=0xACCE + 1)
+
+
+class TestIntentKernels:
+    """The word-parallel intent enumeration (up to 64 attributes) and the set
+    loop for wider contexts, each against the reference loop, list for list."""
+
+    def test_fuzz_corpus(self):
+        for ctx in acceptance_corpus():
+            assert enumerate_intents(ctx) == set_intents(ctx)
+
+    @pytest.mark.parametrize("width", [62, 63, 64])
+    def test_word_path_near_64_bits(self, width):
+        ctx = wide_context(width, 40, seed=width)
+        intents = enumerate_intents(ctx)
+        assert intents == set_intents(ctx)
+        top = 1 << (width - 1)
+        assert any(m & top for m in intents if m != ctx.attribute_universe)
+
+    @pytest.mark.parametrize("width", [65, 70])
+    def test_set_path_beyond_64_bits(self, width):
+        ctx = wide_context(width, 24, seed=width)
+        intents = enumerate_intents(ctx)
+        assert intents == set_intents(ctx)
+        assert any(m >> 64 for m in intents if m != ctx.attribute_universe)
+
+    @pytest.mark.parametrize(
+        "rows, width",
+        [
+            ((0b0110, 0b0011, 0b0110, 0b0011, 0b0110), 4),
+            ((0b1111, 0b0101, 0b1111), 4),
+            ((0b1010,), 4),
+            ((0b1111,), 4),
+            ((), 4),
+            ((0, 0), 0),
+            ((1 << 63, (1 << 64) - 1, (1 << 63) | 1, 1), 64),
+        ],
+        ids=[
+            "duplicate-rows",
+            "universe-rows",
+            "single-object",
+            "single-full-object",
+            "no-objects",
+            "no-attributes",
+            "top-bit-and-full-row",
+        ],
+    )
+    def test_degenerate_shapes(self, rows, width):
+        ctx = FormalContext(
+            tuple(f"g{k}" for k in range(len(rows))),
+            tuple(f"m{k}" for k in range(width)),
+            rows,
+        )
+        assert enumerate_intents(ctx) == set_intents(ctx)
+
+    def test_realistic_scale(self):
+        ctx = realistic_context()
+        assert enumerate_intents(ctx) == set_intents(ctx)
+
+
+class TestKeyClosures:
+    """``enumerate_keys`` closes each key from the extent it found, in key order."""
+
+    def test_match_closure(self):
+        for ctx in acceptance_corpus() + [realistic_context()]:
+            keys = enumerate_keys(ctx)
+            assert list(keys.closures.items()) == [(k, closure(ctx, k)) for k in keys]
