@@ -116,8 +116,8 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
 class _ScalarRules:
     """Found basis rules as ``(premise, closure)`` int pairs, any width.
 
-    ``preclose`` fires one rule at a time and gives up on the first one that
-    adds a ``forbidden`` bit.
+    ``preclose`` fires one rule at a time and stops at the first one that
+    adds a ``forbidden`` bit, returning the set as it stands then.
     """
 
     def __init__(self) -> None:
@@ -126,7 +126,7 @@ class _ScalarRules:
     def add(self, premise: int, premise_closure: int) -> None:
         self._rules.append((premise, premise_closure))
 
-    def preclose(self, x: int, forbidden: int) -> int | None:
+    def preclose(self, x: int, forbidden: int) -> int:
         changed = True
         while changed:
             changed = False
@@ -134,7 +134,7 @@ class _ScalarRules:
                 if p & x == p and c | x != x:
                     x |= c
                     if x & forbidden:
-                        return None
+                        return x
                     changed = True
         return x
 
@@ -143,8 +143,8 @@ class _WordRules:
     """Found basis rules as two growable ``uint64`` arrays, up to 64 attributes.
 
     One preclosure round tests every rule at once and ORs together the
-    closures of all that fire; ``preclose`` gives up after the first round
-    that adds a ``forbidden`` bit.
+    closures of all that fire; ``preclose`` stops after the first round that
+    adds a ``forbidden`` bit, returning the set as it stands then.
     """
 
     def __init__(self) -> None:
@@ -160,7 +160,7 @@ class _WordRules:
         self._closures[self._count] = premise_closure
         self._count += 1
 
-    def preclose(self, x: int, forbidden: int) -> int | None:
+    def preclose(self, x: int, forbidden: int) -> int:
         if not self._count:
             return x
         p = self._premises[: self._count]
@@ -168,10 +168,8 @@ class _WordRules:
         w = np.uint64(x)
         while True:
             y = np.bitwise_or.reduce(c, where=(p & ~w) == 0, initial=w)
-            if int(y) & forbidden:
-                return None
-            if y == w:
-                return int(w)
+            if y == w or int(y) & forbidden:
+                return int(y)
             w = y
 
 
@@ -196,8 +194,21 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     The candidate after ``a`` at attribute ``i`` is rejected when its
     preclosure gains an attribute before ``i`` that ``a`` lacks (the
     ``forbidden`` mask).  Preclosure only adds attributes, so the stores
-    reject a candidate as soon as one of its steps gains such an attribute,
-    without running to the fixpoint.
+    stop as soon as one of its steps gains such an attribute, without
+    running to the fixpoint, and return that partial preclosure.
+
+    Failed tests are inherited, as in FCbO (Outrata & Vychodil, 2012) and
+    LinCbO (Janoštík, Konečný & Krajča, 2021).  For each attribute ``i`` the
+    scan keeps the last candidate ``x_i`` rejected at ``i`` and the partial
+    preclosure ``y_i`` that met its ``forbidden`` mask.  A later candidate
+    ``x ⊇ x_i`` at ``i`` whose current ``forbidden`` mask meets ``y_i`` is
+    rejected without a preclosure.  This is sound: rules are only ever
+    added, and preclosure is monotone in both the set and the rules, so
+    ``y_i`` lies inside the preclosure of ``x_i`` under the rules found so
+    far, and hence inside that of ``x``, which therefore meets ``forbidden``
+    too.  A candidate holding more of the attributes before ``i`` has fewer
+    of them forbidden, so the test must use the current mask, not the one
+    ``x_i`` failed on.
 
     The stores fire a premise contained in ``x`` even when it equals ``x``,
     which is safe here: every set they test agrees with ``a`` on the
@@ -208,6 +219,8 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     full = ctx.attribute_universe
     found: list[tuple[int, int]] = []
     rules = _WordRules() if n <= 64 else _ScalarRules()
+    # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
+    failed = [(0, 0)] * n
 
     a = 0
     while True:
@@ -217,19 +230,24 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
             rules.add(a, ca)
         if a == full:
             break
-        nxt = None
         work = a
         for i in range(n - 1, -1, -1):
             bit = 1 << i
             if work & bit:
                 work ^= bit
-            else:
-                nxt = rules.preclose(work | bit, ~work & (bit - 1))
-                if nxt is not None:
-                    break
-        if nxt is None:
+                continue
+            x = work | bit
+            forbidden = ~work & (bit - 1)
+            x_i, y_i = failed[i]
+            if x_i & x == x_i and y_i & forbidden:
+                continue
+            y = rules.preclose(x, forbidden)
+            if not y & forbidden:
+                a = y
+                break
+            failed[i] = (x, y)
+        else:
             break
-        a = nxt
     return found
 
 

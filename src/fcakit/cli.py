@@ -280,11 +280,16 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_randomize(args: argparse.Namespace) -> int:
-    metrics = (
-        tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-        if args.metrics
-        else DEFAULT_METRICS
-    )
+    if args.metrics is None:
+        metrics = DEFAULT_METRICS
+    else:
+        # Repeated names collapse to their first occurrence, which is where
+        # the report lists a metric anyway.
+        metrics = tuple(
+            dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip())
+        )
+        if not metrics:
+            raise InputError("--metrics names no metric")
     unknown = sorted(set(metrics) - set(DEFAULT_METRICS))
     if unknown:
         raise InputError(f"unknown metrics: {unknown}")
@@ -352,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--metrics",
         metavar="LIST",
-        help=f"comma-separated subset of: {', '.join(DEFAULT_METRICS)}",
+        help=f"comma-separated, non-empty subset of: {', '.join(DEFAULT_METRICS)} "
+        "(a name given twice counts once; default: all)",
     )
     p.add_argument(
         "--csv-out", metavar="PATH", help="also write the plot-ready CSV table"

@@ -25,6 +25,7 @@ from fcakit import (
     index_classes,
     is_proper_premise,
 )
+from fcakit import charsets
 from fcakit.charsets import (
     _canonical_basis_scan,
     _ScalarRules,
@@ -363,11 +364,14 @@ class TestClassAlgebra:
                 assert u == closure(ctx, b)
 
 
-def scalar_basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
+def scalar_basis_scan(
+    ctx: FormalContext, tested: list[int] | None = None
+) -> list[tuple[int, int]]:
     """Reference canonical-basis scan: one premise at a time on Python ints.
 
     A copy of the library's original loop, kept as the twin of the
-    word-parallel kernel.
+    word-parallel kernel.  ``tested``, when given, collects every candidate
+    the loop preclosed, in order.
     """
     n = ctx.n_attrs
     full = ctx.attribute_universe
@@ -397,6 +401,8 @@ def scalar_basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
             if work & bit:
                 work ^= bit
             else:
+                if tested is not None:
+                    tested.append(work | bit)
                 cand = preclose(work | bit)
                 if not (cand & ~work) & (bit - 1):
                     nxt = cand
@@ -505,8 +511,10 @@ class TestBasisScanKernels:
                 rs.add(p, c)
             want = reference_preclose(rules, x)
             got = rs.preclose(x, forbidden)
+            assert bool(got & forbidden) == bool(want & forbidden)
             if want & forbidden:
-                assert got is None
+                # The partial preclosure that met ``forbidden``.
+                assert x & ~got == 0 and got & ~want == 0
                 rejected += 1
             else:
                 assert got == want
@@ -517,6 +525,117 @@ class TestBasisScanKernels:
     def test_realistic_scale(self):
         ctx = realistic_context()
         assert _canonical_basis_scan(ctx) == scalar_basis_scan(ctx)
+
+
+def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]], list]:
+    """Run the scan with both stores logging every call made to them.
+
+    Returns the scan's result and the log: ``("add", premise, closure)`` and
+    ``("preclose", x, forbidden, result)`` tuples, in call order.
+    """
+    log: list = []
+
+    def recording(store):
+        class Recording(store):
+            def add(self, premise, premise_closure):
+                log.append(("add", premise, premise_closure))
+                super().add(premise, premise_closure)
+
+            def preclose(self, x, forbidden):
+                y = super().preclose(x, forbidden)
+                log.append(("preclose", x, forbidden, y))
+                return y
+
+        return Recording
+
+    monkeypatch.setattr(charsets, "_WordRules", recording(_WordRules))
+    monkeypatch.setattr(charsets, "_ScalarRules", recording(_ScalarRules))
+    return _canonical_basis_scan(ctx), log
+
+
+def skipped_candidates(
+    ctx: FormalContext, log: list
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, list[tuple[int, int]]]]]:
+    """Replay the scan's candidate walk against its store log.
+
+    Every candidate the log does not show being preclosed was rejected by an
+    inherited test.  Returns the rules the log added and, for each such
+    candidate, ``(x, forbidden, rules found before it)``.
+    """
+    n = ctx.n_attrs
+    rules: list[tuple[int, int]] = []
+    skipped = []
+    pos = 0
+    a = 0
+    while True:
+        ca = closure(ctx, a)
+        if ca != a:
+            assert log[pos] == ("add", a, ca)
+            pos += 1
+            rules.append((a, ca))
+        if a == ctx.attribute_universe:
+            break
+        nxt = None
+        work = a
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if work & bit:
+                work ^= bit
+                continue
+            x, forbidden = work | bit, ~work & (bit - 1)
+            if pos < len(log) and log[pos][:3] == ("preclose", x, forbidden):
+                y = log[pos][3]
+                pos += 1
+                if not y & forbidden:
+                    nxt = y
+                    break
+            else:
+                skipped.append((x, forbidden, rules[:]))
+        if nxt is None:
+            break
+        a = nxt
+    assert pos == len(log)
+    return rules, skipped
+
+
+class TestInheritedRejection:
+    """Candidates the scan rejects from an earlier failed test, without a
+    preclosure: they must exist, and each must really be rejected."""
+
+    def test_skips_preclose_calls_at_realistic_scale(self, monkeypatch):
+        ctx = realistic_context()
+        found, log = record_scan(monkeypatch, ctx)
+        tested: list[int] = []
+        assert found == scalar_basis_scan(ctx, tested)
+        calls = [e[1] for e in log if e[0] == "preclose"]
+        # One record per attribute skips about a third of the candidates
+        # here; records shared by all attributes would skip under 2 %.
+        assert len(calls) < 0.8 * len(tested)
+        _, skipped = skipped_candidates(ctx, log)
+        assert len(calls) + len(skipped) == len(tested)
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            lambda: [realistic_context()],
+            lambda: [wide_context(64, 6, seed=64)],
+            lambda: [wide_context(70, 6, seed=70)],
+            lambda: fuzz_contexts(
+                170, max_objects=8, max_attrs=10, min_objects=4, min_attrs=6, seed=0xACCE
+            ),
+        ],
+        ids=["403x16", "word-64", "scalar-70", "fuzz"],
+    )
+    def test_skipped_candidates_fixpoint_meets_forbidden(self, monkeypatch, corpus):
+        n_skipped = 0
+        for ctx in corpus():
+            found, log = record_scan(monkeypatch, ctx)
+            rules, skipped = skipped_candidates(ctx, log)
+            assert rules == found
+            n_skipped += len(skipped)
+            for x, forbidden, current in skipped:
+                assert reference_preclose(current, x) & forbidden
+        assert n_skipped
 
 
 def test_realistic_scale_families_match_oracle():

@@ -187,6 +187,27 @@ class TestRandomize:
         assert len(lines) == len(report["metrics"]) + 1
         assert any(line.startswith("intent-count,total,") for line in lines)
 
+    def test_repeated_metric_names_collapse(self, capsys, monkeypatch):
+        calls = []
+        real = charsets.enumerate_pseudo_intents
+
+        def counting(ctx):
+            calls.append(ctx)
+            return real(ctx)
+
+        monkeypatch.setattr(charsets, "enumerate_pseudo_intents", counting)
+        argv = ("randomize", str(TOY_CXT), "--strategy", "column", "--trials", "2")
+        _, once = run_cli(capsys, *argv, "--metrics", "pseudo-intent-count,linearity")
+        assert len(calls) == 3
+        _, twice = run_cli(
+            capsys,
+            *argv,
+            "--metrics",
+            "pseudo-intent-count,linearity,pseudo-intent-count",
+        )
+        assert twice == once
+        assert len(calls) == 6
+
     def test_unknown_metric_is_input_error(self, capsys):
         code, _ = run_cli(
             capsys,
@@ -238,6 +259,15 @@ class TestExitCodes:
         code = main(["randomize", str(path), "--strategy", "column", *flags])
         assert code == 2
         assert "fcakit: input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("listed", [",", " , ,", ""])
+    def test_metric_list_naming_no_metric(self, capsys, tmp_path, listed):
+        path = tmp_path / "toy.csv"
+        path.write_text(serialize_dense_csv(toy_context()))
+        code = main(["randomize", str(path), "--strategy", "column", "--metrics", listed])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "fcakit: input error: --metrics names no metric" in captured.err
 
     def test_non_utf8_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.cxt"
