@@ -11,46 +11,37 @@ attribute set:
   class),
 * proper premises (premises of the direct implication basis).
 
-Two independent routes exist for every family: fast enumerations used by the
-rest of the package, and literal definitional scans over the power set
-(``brute_force_class``) used as oracles in the test suite.  All enumeration
-output is returned in lectic order.
+``index_classes`` gives a ``ClassIndex``: every family and the concept
+lattice of one context, each computed on first use and then kept.  It is
+how the reports and every randomized trial reach the families.  All
+enumeration output is returned in lectic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
+from . import lattice
 from .context import (
     AttrSet,
-    CapacityError,
     FormalContext,
     ObjSet,
-    POWERSET_SCAN_LIMIT,
-    bit_reverse,
     closure,
     extent,
     intent_of,
     iter_bits,
-    iter_lectic_masks,
     lectic_sorted,
 )
 
 
 @dataclass(frozen=True)
 class CharFlags:
-    """Membership of one attribute subset in each characteristic family.
+    """Membership of one attribute subset in each characteristic family."""
 
-    ``is_generator`` is tautologically true: every subset generates the
-    intent it closes to.
-    """
-
-    is_generator: bool = True
     is_intent: bool = False
     is_pseudo_intent: bool = False
     is_key: bool = False
@@ -287,7 +278,7 @@ def is_proper_premise(ctx: FormalContext, attrs: AttrSet) -> bool:
     return u != closure(ctx, attrs)
 
 
-def enumerate_keys(ctx: FormalContext) -> list[AttrSet]:
+def enumerate_keys(ctx: FormalContext) -> _Keys:
     """All minimal generators, in lectic order.
 
     Levelwise search: a set can only be a key if every one-element-removed
@@ -326,10 +317,9 @@ def enumerate_keys(ctx: FormalContext) -> list[AttrSet]:
 class _Keys(list):
     """A context's full key family, carrying the extent of every key.
 
-    ``enumerate_keys`` returns one; ``index_classes`` and
-    ``randomize.evaluate_metrics`` pass it as ``keys`` to the key-family
-    functions below, so that each key is closed once for all of them, from
-    the extent the search already holds, and only if one of them needs it.
+    ``enumerate_keys`` returns one, and the key-family functions below take
+    it as ``keys``.  ``closures`` closes each key once for all of them, from
+    the extent the search already holds, and only when one of them needs it.
     """
 
     def __init__(
@@ -344,13 +334,6 @@ class _Keys(list):
         return {k: intent_of(self._ctx, self._extents[k]) for k in self}
 
 
-def _key_closures(ctx: FormalContext, keys: list[AttrSet]) -> dict[AttrSet, AttrSet]:
-    """The closure of every key, in key order."""
-    if isinstance(keys, _Keys):
-        return keys.closures
-    return {k: closure(ctx, k) for k in keys}
-
-
 def _min_key_sizes(key_closures: dict[AttrSet, AttrSet]) -> dict[AttrSet, int]:
     best: dict[int, int] = {}
     for k, c in key_closures.items():
@@ -360,35 +343,31 @@ def _min_key_sizes(key_closures: dict[AttrSet, AttrSet]) -> dict[AttrSet, int]:
     return best
 
 
-def enumerate_passkeys(
-    ctx: FormalContext, keys: list[AttrSet] | None = None
-) -> list[AttrSet]:
+def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[AttrSet]:
     """Keys of minimum cardinality within their closure class, lectic order.
 
-    ``keys``, when given, must be the context's full key family
-    (``enumerate_keys``).
+    ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
     """
     if keys is None:
         keys = enumerate_keys(ctx)
-    key_closures = _key_closures(ctx, keys)
+    key_closures = keys.closures
     best = _min_key_sizes(key_closures)
     out = [k for k, c in key_closures.items() if k.bit_count() == best[c]]
     return lectic_sorted(out, ctx.n_attrs)
 
 
 def enumerate_proper_premises(
-    ctx: FormalContext, keys: list[AttrSet] | None = None
+    ctx: FormalContext, keys: _Keys | None = None
 ) -> list[AttrSet]:
     """All proper premises, in lectic order (every proper premise is a key).
 
-    ``keys``, when given, must be the context's full key family
-    (``enumerate_keys``).  Every one-element-removed subset of a key is a
-    key (freeness is anti-monotone), so the closures the test needs are
-    those of the family.
+    ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
+    Every one-element-removed subset of a key is a key (freeness is
+    anti-monotone), so the closures the test needs are those of the family.
     """
     if keys is None:
         keys = enumerate_keys(ctx)
-    key_closures = _key_closures(ctx, keys)
+    key_closures = keys.closures
     out = []
     for k, c in key_closures.items():
         u = k
@@ -399,58 +378,64 @@ def enumerate_proper_premises(
     return out
 
 
-def min_key_sizes(
-    ctx: FormalContext, keys: list[AttrSet] | None = None
-) -> dict[AttrSet, int]:
+def min_key_sizes(ctx: FormalContext, keys: _Keys | None = None) -> dict[AttrSet, int]:
     """Minimum key cardinality per intent, keyed by the intent mask.
 
-    ``keys``, when given, must be the context's full key family
-    (``enumerate_keys``).
+    ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
     """
     if keys is None:
         keys = enumerate_keys(ctx)
-    return _min_key_sizes(_key_closures(ctx, keys))
+    return _min_key_sizes(keys.closures)
 
 
-@dataclass
 class ClassIndex:
-    """Precomputed characteristic families of one context."""
+    """Every characteristic family and the concept lattice of one context.
 
-    intents: list[AttrSet]
-    pseudo_intents: list[AttrSet]
-    keys: list[AttrSet]
-    passkeys: list[AttrSet]
-    proper_premises: list[AttrSet]
-    min_key_size: dict[AttrSet, int]
+    Each is computed on first use and then kept, so a report or a trial
+    pays only for what it reads, and only once.  Passkeys and proper
+    premises share the one key family and its closures.  The layer
+    functions are looked up by module name at call time, so a wrapper
+    installed over one of them sees every call.
+    """
+
+    def __init__(self, ctx: FormalContext) -> None:
+        self.ctx = ctx
+
+    @cached_property
+    def intents(self) -> list[AttrSet]:
+        return enumerate_intents(self.ctx)
+
+    @cached_property
+    def pseudo_intents(self) -> list[AttrSet]:
+        return enumerate_pseudo_intents(self.ctx)
+
+    @cached_property
+    def keys(self) -> _Keys:
+        return enumerate_keys(self.ctx)
+
+    @cached_property
+    def passkeys(self) -> list[AttrSet]:
+        return enumerate_passkeys(self.ctx, self.keys)
+
+    @cached_property
+    def proper_premises(self) -> list[AttrSet]:
+        return enumerate_proper_premises(self.ctx, self.keys)
+
+    @cached_property
+    def lattice(self) -> lattice.ConceptLattice:
+        return lattice.build_lattice(self.intents)
+
+    def sizes(self, family: str) -> dict[int, int]:
+        """Member count per element size of the family named ``family``."""
+        out: dict[int, int] = {}
+        for mask in getattr(self, family):
+            out[mask.bit_count()] = out.get(mask.bit_count(), 0) + 1
+        return out
 
 
 def index_classes(ctx: FormalContext) -> ClassIndex:
-    """Every characteristic family of ``ctx``; each key is closed once."""
-    keys = enumerate_keys(ctx)
-    return ClassIndex(
-        intents=enumerate_intents(ctx),
-        pseudo_intents=enumerate_pseudo_intents(ctx),
-        keys=list(keys),
-        passkeys=enumerate_passkeys(ctx, keys),
-        proper_premises=enumerate_proper_premises(ctx, keys),
-        min_key_size=min_key_sizes(ctx, keys),
-    )
-
-
-def _min_key_size_of_class(ctx: FormalContext, intent: AttrSet) -> int:
-    """Smallest size of a generator of ``intent``, searched by size."""
-    target = extent(ctx, intent)
-    cols = ctx.columns
-    universe = ctx.object_universe
-    bits = list(iter_bits(intent))
-    for size in range(len(bits) + 1):
-        for comb in combinations(bits, size):
-            e = universe
-            for j in comb:
-                e &= cols[j]
-            if e == target:
-                return size
-    return len(bits)
+    """The lazily computed characteristic families of ``ctx``."""
+    return ClassIndex(ctx)
 
 
 def classify(
@@ -463,8 +448,9 @@ def classify(
 
     ``pseudo_intents`` must be the complete pseudo-intent family of the
     context (the pseudo-intent property is not locally decidable).  The
-    passkey flag needs the minimum key size of the subset's closure class;
-    pass ``min_key_size_index`` to avoid recomputing it per call.
+    passkey flag needs the minimum key size of the subset's closure class
+    (a smallest generator is always a key); pass ``min_key_size_index``
+    (``min_key_sizes``) to avoid recomputing it per call.
     """
     pseudo = (
         pseudo_intents
@@ -473,126 +459,16 @@ def classify(
     )
     c = closure(ctx, attrs)
     e = extent(ctx, attrs)
-    is_key = True
-    for j in iter_bits(attrs):
-        if extent(ctx, attrs ^ (1 << j)) == e:
-            is_key = False
-            break
-    u = attrs
-    for j in iter_bits(attrs):
-        u |= closure(ctx, attrs ^ (1 << j))
+    is_key = all(extent(ctx, attrs ^ (1 << j)) != e for j in iter_bits(attrs))
     is_passkey = False
     if is_key:
-        if min_key_size_index is not None:
-            smallest = min_key_size_index[c]
-        else:
-            smallest = _min_key_size_of_class(ctx, c)
-        is_passkey = attrs.bit_count() == smallest
+        if min_key_size_index is None:
+            min_key_size_index = min_key_sizes(ctx)
+        is_passkey = attrs.bit_count() == min_key_size_index[c]
     return CharFlags(
-        is_generator=True,
         is_intent=c == attrs,
         is_pseudo_intent=attrs in pseudo,
         is_key=is_key,
         is_passkey=is_passkey,
-        is_proper_premise=u != c,
+        is_proper_premise=is_proper_premise(ctx, attrs),
     )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles
-
-BRUTE_FORCE_CLASSES = (
-    "generator",
-    "intent",
-    "pseudo_intent",
-    "key",
-    "passkey",
-    "proper_premise",
-)
-
-
-def _powerset_tables(ctx: FormalContext) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """Extent and closure of every subset, by one dynamic-programming pass."""
-    n = ctx.n_attrs
-    if n > POWERSET_SCAN_LIMIT:
-        raise CapacityError(
-            f"brute-force scan over {n} attributes exceeds the "
-            f"{POWERSET_SCAN_LIMIT}-attribute limit"
-        )
-    cols = ctx.columns
-    ext: dict[int, int] = {0: ctx.object_universe}
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        ext[mask] = ext[mask ^ low] & cols[low.bit_length() - 1]
-    masks = list(iter_lectic_masks(n))
-    cl: dict[int, int] = {}
-    for mask in masks:
-        e = ext[mask]
-        c = 0
-        for j in range(n):
-            if cols[j] & e == e:
-                c |= 1 << j
-        cl[mask] = c
-    return masks, ext, cl
-
-
-def brute_force_all(ctx: FormalContext) -> dict[str, list[AttrSet]]:
-    """Every characteristic family by literal definitional scan.
-
-    Independent of the fast enumerations: each family is decided by
-    quantifying the defining condition over the power set.
-    """
-    masks, ext, cl = _powerset_tables(ctx)
-    intents = [m for m in masks if cl[m] == m]
-
-    pseudo: list[tuple[int, int]] = []
-    for mask in sorted(masks, key=lambda m: (m.bit_count(), bit_reverse(m, ctx.n_attrs))):
-        c = cl[mask]
-        if c == mask:
-            continue
-        if all(
-            q_cl | mask == mask
-            for q, q_cl in pseudo
-            if q & mask == q and q != mask
-        ):
-            pseudo.append((mask, c))
-    pseudo_masks = lectic_sorted([p for p, _ in pseudo], ctx.n_attrs)
-
-    keys = [
-        m
-        for m in masks
-        if all(ext[m ^ (1 << j)] != ext[m] for j in iter_bits(m))
-    ]
-
-    smallest: dict[int, int] = {}
-    for m in masks:
-        c = cl[m]
-        if c not in smallest or m.bit_count() < smallest[c]:
-            smallest[c] = m.bit_count()
-    passkeys = [m for m in keys if m.bit_count() == smallest[cl[m]]]
-
-    proper = []
-    for m in masks:
-        u = m
-        for j in iter_bits(m):
-            u |= cl[m ^ (1 << j)]
-        if u != cl[m]:
-            proper.append(m)
-
-    return {
-        "generator": masks,
-        "intent": intents,
-        "pseudo_intent": pseudo_masks,
-        "key": keys,
-        "passkey": passkeys,
-        "proper_premise": proper,
-    }
-
-
-def brute_force_class(ctx: FormalContext, class_name: str) -> list[AttrSet]:
-    """One characteristic family by literal scan; see ``brute_force_all``."""
-    if class_name not in BRUTE_FORCE_CLASSES:
-        raise ValueError(
-            f"unknown class {class_name!r}, expected one of {BRUTE_FORCE_CLASSES}"
-        )
-    return brute_force_all(ctx)[class_name]

@@ -102,44 +102,31 @@ def _dataset_block(ctx: FormalContext, name: str) -> dict:
     }
 
 
-def _sizes(masks: list[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for mask in masks:
-        out[mask.bit_count()] = out.get(mask.bit_count(), 0) + 1
-    return out
+_FAMILIES = ("intents", "pseudo_intents", "proper_premises", "keys", "passkeys")
 
 
 def build_analysis_report(ctx: FormalContext, dataset_name: str) -> AnalysisReport:
     index = charsets.index_classes(ctx)
-    lat = lattice.build_lattice(index.intents)
-    families = {
-        "intents": index.intents,
-        "pseudo_intents": index.pseudo_intents,
-        "proper_premises": index.proper_premises,
-        "keys": index.keys,
-        "passkeys": index.passkeys,
-    }
     return AnalysisReport(
         dataset=_dataset_block(ctx, dataset_name),
-        totals={name: len(masks) for name, masks in families.items()},
-        histograms={name: _sizes(masks) for name, masks in families.items()},
-        linearity=lattice.linearity(lat),
-        distributivity=lattice.distributivity(lat),
+        totals={name: len(getattr(index, name)) for name in _FAMILIES},
+        histograms={name: index.sizes(name) for name in _FAMILIES},
+        linearity=lattice.linearity(index.lattice),
+        distributivity=lattice.distributivity(index.lattice),
         engine_version=__version__,
     )
 
 
 def build_indices_report(ctx: FormalContext, dataset_name: str) -> dict:
-    intents = charsets.enumerate_intents(ctx)
-    lat = lattice.build_lattice(intents)
+    index = charsets.index_classes(ctx)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "indices",
         "engine": {"name": "fcakit", "version": __version__},
         "dataset": _dataset_block(ctx, dataset_name),
-        "concepts": len(intents),
-        "linearity": lattice.linearity(lat),
-        "distributivity": lattice.distributivity(lat),
+        "concepts": len(index.intents),
+        "linearity": lattice.linearity(index.lattice),
+        "distributivity": lattice.distributivity(index.lattice),
     }
 
 
@@ -283,11 +270,7 @@ def _cmd_randomize(args: argparse.Namespace) -> int:
     if args.metrics is None:
         metrics = DEFAULT_METRICS
     else:
-        # Repeated names collapse to their first occurrence, which is where
-        # the report lists a metric anyway.
-        metrics = tuple(
-            dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip())
-        )
+        metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
         if not metrics:
             raise InputError("--metrics names no metric")
     unknown = sorted(set(metrics) - set(DEFAULT_METRICS))

@@ -53,9 +53,13 @@ class DescriptionRow:
 
 
 def flags_pattern(flags: CharFlags) -> tuple[bool, ...]:
-    """The nine-column presence pattern of a flag combination."""
+    """The nine-column presence pattern of a flag combination.
+
+    The generator column is always set: every subset generates the intent
+    it closes to.
+    """
     return (
-        flags.is_generator,
+        True,
         flags.is_intent,
         flags.is_key,
         flags.is_passkey,
@@ -98,7 +102,6 @@ def _flag_lookup(index: ClassIndex) -> tuple[dict[int, CharFlags], CharFlags]:
         flags = interned.get(combo)
         if flags is None:
             flags = CharFlags(
-                is_generator=True,
                 is_intent=combo[0],
                 is_pseudo_intent=combo[1],
                 is_key=combo[2],

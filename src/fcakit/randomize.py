@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,13 +118,15 @@ class TrialSummary:
     quartiles: tuple[float, float, float, float, float]
 
 
-COUNT_METRICS = (
-    "intent-count",
-    "pseudo-intent-count",
-    "proper-premise-count",
-    "key-count",
-    "passkey-count",
-)
+# Count metric -> the ``ClassIndex`` family it counts.
+_FAMILIES = {
+    "intent-count": "intents",
+    "pseudo-intent-count": "pseudo_intents",
+    "proper-premise-count": "proper_premises",
+    "key-count": "keys",
+    "passkey-count": "passkeys",
+}
+COUNT_METRICS = tuple(_FAMILIES)
 SCALAR_METRICS = ("linearity", "distributivity")
 DEFAULT_METRICS = COUNT_METRICS + SCALAR_METRICS
 
@@ -142,46 +144,18 @@ def evaluate_metrics(
     unknown = set(metrics) - set(DEFAULT_METRICS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
-    cache: dict[str, object] = {}
-
-    def intents() -> list[int]:
-        if "intents" not in cache:
-            cache["intents"] = charsets.enumerate_intents(ctx)
-        return cache["intents"]  # type: ignore[return-value]
-
-    def keys() -> list[int]:
-        # The key family carries its closure map, shared by passkeys and
-        # proper premises.
-        if "keys" not in cache:
-            cache["keys"] = charsets.enumerate_keys(ctx)
-        return cache["keys"]  # type: ignore[return-value]
-
-    def lat() -> lattice.ConceptLattice:
-        if "lat" not in cache:
-            cache["lat"] = lattice.build_lattice(intents())
-        return cache["lat"]  # type: ignore[return-value]
-
-    family: dict[str, Callable[[], list[int]]] = {
-        "intent-count": intents,
-        "pseudo-intent-count": lambda: charsets.enumerate_pseudo_intents(ctx),
-        "key-count": keys,
-        "passkey-count": lambda: charsets.enumerate_passkeys(ctx, keys()),
-        "proper-premise-count": lambda: charsets.enumerate_proper_premises(ctx, keys()),
-    }
+    index = charsets.index_classes(ctx)
     out: dict[MetricKey, float] = {}
     for metric in metrics:
-        if metric in family:
-            members = family[metric]()
-            out[(metric, None)] = float(len(members))
-            sizes: dict[int, int] = {}
-            for mask in members:
-                sizes[mask.bit_count()] = sizes.get(mask.bit_count(), 0) + 1
-            for size, count in sizes.items():
+        if metric in _FAMILIES:
+            family = _FAMILIES[metric]
+            out[(metric, None)] = float(len(getattr(index, family)))
+            for size, count in index.sizes(family).items():
                 out[(metric, size)] = float(count)
         elif metric == "linearity":
-            out[(metric, None)] = lattice.linearity(lat())
+            out[(metric, None)] = lattice.linearity(index.lattice)
         else:
-            out[(metric, None)] = lattice.distributivity(lat())
+            out[(metric, None)] = lattice.distributivity(index.lattice)
     return out
 
 
@@ -198,12 +172,15 @@ def run_trials(
 
     Results are deterministic for fixed ``(ctx, strategy, n_trials, seed,
     metrics)`` regardless of ``workers``: each trial derives its own seed and
-    aggregation is by trial index.
+    aggregation is by trial index.  A metric named more than once is
+    evaluated and reported once, at its first position.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     strategy = Strategy(strategy)
-    names = tuple(metrics) if metrics is not None else DEFAULT_METRICS
+    names = tuple(dict.fromkeys(metrics)) if metrics is not None else DEFAULT_METRICS
+    if not names:
+        raise ValueError("metrics must name at least one metric")
     real = evaluate_metrics(ctx, names)
 
     def one_trial(index: int) -> dict[MetricKey, float]:

@@ -34,7 +34,7 @@ from fcakit import (
     linearity,
     run_trials,
 )
-from fcakit.charsets import brute_force_all, index_classes
+from fcakit.charsets import index_classes
 
 from conftest import (
     DATA_DIR,
@@ -46,6 +46,7 @@ from conftest import (
     staircase_context,
     toy_context,
 )
+from oracles import brute_force_all
 
 # Shared fuzz corpus for criteria 3-6: 200 deterministic random contexts,
 # most of them at substantial size, a tail of degenerate shapes.

@@ -12,7 +12,6 @@ from fcakit import (
     CharFlags,
     FormalContext,
     Implication,
-    brute_force_class,
     classify,
     closure,
     dg_basis,
@@ -30,7 +29,6 @@ from fcakit.charsets import (
     _canonical_basis_scan,
     _ScalarRules,
     _WordRules,
-    brute_force_all,
     min_key_sizes,
 )
 from fcakit.context import bit_reverse, lectic_sorted
@@ -44,6 +42,7 @@ from conftest import (
     realistic_context,
     staircase_context,
 )
+from oracles import brute_force_all, brute_force_class
 
 
 def all_masks(ctx: FormalContext) -> range:
@@ -253,7 +252,6 @@ class TestClassify:
     def test_toy_e_flags(self, toy):
         flags = classify(toy, toy.attrs_mask("e"), enumerate_pseudo_intents(toy))
         assert flags == CharFlags(
-            is_generator=True,
             is_intent=False,
             is_pseudo_intent=True,
             is_key=True,
@@ -651,7 +649,7 @@ def test_realistic_scale_families_match_oracle():
     for k in oracle["key"]:
         c = closure(ctx, k)
         smallest[c] = min(smallest.get(c, k.bit_count()), k.bit_count())
-    assert index.min_key_size == smallest
+    assert min_key_sizes(ctx) == smallest
 
 
 def set_intents(ctx: FormalContext) -> list[int]:

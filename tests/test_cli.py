@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from fcakit import charsets, parse_burmeister, serialize_burmeister, serialize_dense_csv
-from fcakit.cli import main
+from fcakit import charsets, lattice, parse_burmeister, serialize_burmeister, serialize_dense_csv
+from fcakit.cli import build_analysis_report, build_indices_report, main
+from fcakit.descriptions import summarize_descriptions
+from fcakit.randomize import evaluate_metrics
 
 from conftest import DATA_DIR, nominal_context, staircase_context, toy_context
 
@@ -45,6 +48,65 @@ def nominal_file(tmp_path) -> Path:
     path = tmp_path / "nominal.cxt"
     path.write_text(serialize_burmeister(nominal_context(3)))
     return path
+
+
+FAMILY_FUNCTIONS = (
+    "enumerate_intents",
+    "enumerate_pseudo_intents",
+    "enumerate_keys",
+    "enumerate_passkeys",
+    "enumerate_proper_premises",
+)
+
+
+class TestOnePipeline:
+    """Reports and trials reach each family through one lazily cached index."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Call counts and results of every family function and of
+        ``build_lattice``."""
+        calls: Counter[str] = Counter()
+        results: dict[str, list] = {}
+        targets = [(charsets, name) for name in FAMILY_FUNCTIONS]
+        targets += [(charsets, "min_key_sizes"), (lattice, "build_lattice")]
+        for module, name in targets:
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                result = _real(*args, **kwargs)
+                results.setdefault(_name, []).append(result)
+                return result
+
+            monkeypatch.setattr(module, name, counting)
+        return calls, results
+
+    @pytest.mark.parametrize(
+        "build, want",
+        [
+            (
+                lambda ctx: build_analysis_report(ctx, "toy"),
+                FAMILY_FUNCTIONS + ("build_lattice",),
+            ),
+            (lambda ctx: summarize_descriptions(ctx), FAMILY_FUNCTIONS),
+            (
+                lambda ctx: build_indices_report(ctx, "toy"),
+                ("enumerate_intents", "build_lattice"),
+            ),
+            (lambda ctx: evaluate_metrics(ctx), FAMILY_FUNCTIONS + ("build_lattice",)),
+        ],
+        ids=["analyze", "describe", "indices", "evaluate-all"],
+    )
+    def test_each_family_computed_once(self, counted, build, want):
+        calls, _ = counted
+        build(toy_context())
+        assert calls == Counter(want)
+
+    def test_key_count_closes_no_key(self, counted):
+        calls, results = counted
+        evaluate_metrics(toy_context(), ("key-count",))
+        assert calls == Counter(["enumerate_keys"])
+        (keys,) = results["enumerate_keys"]
+        assert "closures" not in vars(keys)
 
 
 class TestAnalyze:

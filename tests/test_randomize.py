@@ -13,6 +13,7 @@ from fcakit import (
     run_trials,
     summarize,
 )
+from fcakit import lattice
 from fcakit.randomize import DEFAULT_METRICS, derive_trial_seed, evaluate_metrics, shuffle
 
 from conftest import (
@@ -171,6 +172,30 @@ class TestRunTrials:
             run_trials(toy, Strategy.DENSITY, 1, seed=1, metrics=("no-such-metric",))
         with pytest.raises(ValueError):
             shuffle(toy, "swap", seed=1)
+
+    def test_empty_metric_list_raises(self):
+        with pytest.raises(ValueError, match="at least one metric"):
+            run_trials(toy_context(), "column", 2, 0, metrics=())
+
+    def test_repeated_metric_names_collapse(self, monkeypatch):
+        calls = []
+        real = lattice.linearity
+
+        def counting(lat):
+            calls.append(lat)
+            return real(lat)
+
+        monkeypatch.setattr(lattice, "linearity", counting)
+        toy = toy_context()
+        once = run_trials(toy, "column", 2, 0, metrics=("linearity",))
+        assert len(calls) == 3
+        twice = run_trials(toy, "column", 2, 0, metrics=("linearity", "linearity"))
+        assert twice == once
+        assert len(calls) == 6
+        mixed = ("intent-count", "linearity", "intent-count", "linearity")
+        assert run_trials(toy, "column", 2, 0, metrics=mixed) == run_trials(
+            toy, "column", 2, 0, metrics=("intent-count", "linearity")
+        )
 
 
 class TestLiveInWaterIndistinguishable:
