@@ -13,6 +13,7 @@ from fcakit import (
     build_lattice,
     distributivity,
     enumerate_intents,
+    lattice,
     linearity,
 )
 from fcakit.lattice import (
@@ -153,6 +154,7 @@ class TestVectorizedPath:
         )
         assert len(masks) >= 400 and max(masks).bit_length() == top_bit + 1
         lat = ConceptLattice(tuple(masks))
+        assert (lat._words is None) == (top_bit > 63)
         assert count_comparable_pairs(lat) == brute_comparable(masks)
         assert count_union_closed_pairs(lat) == brute_union_closed(masks)
 
@@ -168,9 +170,68 @@ class TestVectorizedPath:
         assert count_union_closed_pairs(lat) == n * (n - 1) // 2
         assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
 
+    def test_slot_collision_settled_exactly(self):
+        # Two members x, y share a filter slot, so only one of them can sit
+        # in the slot table; each is the union of two other members.
+        def slot(mask):
+            mult, shift = int(lattice._FIB_MULT), int(lattice._FILTER_SHIFT)
+            return (mask * mult) % (1 << 64) >> shift
+
+        rnd = random.Random(9)
+        seen = {}
+        while True:
+            mask = rnd.getrandbits(30)
+            if mask.bit_count() < 2:
+                continue
+            other = seen.setdefault(slot(mask), mask)
+            if other != mask:
+                break
+        x, y = other, mask
+        assert slot(x) == slot(y) and x != y
+        # lowest bit | the other bits
+        masks = {x, y, x & -x, x & (x - 1), y & -y, y & (y - 1)}
+        while len(masks) < 560:
+            masks.add(rnd.getrandbits(30))
+        masks = list(masks)
+        lat = ConceptLattice(tuple(masks))
+        assert lat._words is not None
+        assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+
     def test_no_union_a_member(self):
         masks = [(1 << a) | (1 << b) for a, b in combinations(range(30), 2)]
         lat = build_lattice(masks)
         assert len(lat) == 435
         assert count_union_closed_pairs(lat) == 0
         assert count_comparable_pairs(lat) == 0
+
+
+class TestPairBlocks:
+    """The numpy pair passes on every lattice of two or more intents, so
+    single-row blocks, the last block and the triangle masks all run."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_from_two_intents(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_VECTOR_THRESHOLD", 2)
+
+    def test_fuzz_corpus(self):
+        sizes = set()
+        for ctx in fuzz_contexts(200, max_objects=10, max_attrs=10, seed=0xB10C):
+            lat = build_lattice(enumerate_intents(ctx))
+            if len(lat) < 2:
+                continue
+            sizes.add(len(lat))
+            assert lat._words is not None
+            assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
+            assert count_union_closed_pairs(lat) == brute_union_closed(lat.intents)
+        assert min(sizes) == 2 and max(sizes) > 50
+
+    @pytest.mark.parametrize("n", [181, 182, 400, 401, 1000])
+    def test_random_families(self, n):
+        rnd = random.Random(n)
+        masks = set()
+        while len(masks) < n:
+            masks.add(rnd.getrandbits(24))
+        masks = list(masks)
+        lat = ConceptLattice(tuple(masks))
+        assert count_comparable_pairs(lat) == brute_comparable(masks)
+        assert count_union_closed_pairs(lat) == brute_union_closed(masks)
