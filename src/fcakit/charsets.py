@@ -319,7 +319,8 @@ class _Keys(list):
 
     ``enumerate_keys`` returns one, and the key-family functions below take
     it as ``keys``.  ``closures`` closes each key once for all of them, from
-    the extent the search already holds, and only when one of them needs it.
+    the extent the search already holds, and only when one of them needs it;
+    it iterates in the keys' lectic order, which the results keep.
     """
 
     def __init__(
@@ -352,8 +353,7 @@ def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[At
         keys = enumerate_keys(ctx)
     key_closures = keys.closures
     best = _min_key_sizes(key_closures)
-    out = [k for k, c in key_closures.items() if k.bit_count() == best[c]]
-    return lectic_sorted(out, ctx.n_attrs)
+    return [k for k, c in key_closures.items() if k.bit_count() == best[c]]
 
 
 def enumerate_proper_premises(
@@ -378,14 +378,9 @@ def enumerate_proper_premises(
     return out
 
 
-def min_key_sizes(ctx: FormalContext, keys: _Keys | None = None) -> dict[AttrSet, int]:
-    """Minimum key cardinality per intent, keyed by the intent mask.
-
-    ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
-    """
-    if keys is None:
-        keys = enumerate_keys(ctx)
-    return _min_key_sizes(keys.closures)
+def min_key_sizes(ctx: FormalContext) -> dict[AttrSet, int]:
+    """Minimum key cardinality per intent, keyed by the intent mask."""
+    return _min_key_sizes(enumerate_keys(ctx).closures)
 
 
 class ClassIndex:

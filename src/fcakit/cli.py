@@ -24,7 +24,6 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,38 +59,6 @@ class InputError(Exception):
     """An option value the command cannot run with."""
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything `analyze` reports about one dataset."""
-
-    dataset: dict
-    totals: dict[str, int]
-    histograms: dict[str, dict[int, int]]
-    linearity: float
-    distributivity: float
-    engine_version: str
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "analysis",
-            "engine": {"name": "fcakit", "version": self.engine_version},
-            "dataset": self.dataset,
-            "classes": {
-                name: {
-                    "total": self.totals[name],
-                    "sizes": {str(k): v for k, v in sorted(self.histograms[name].items())},
-                }
-                for name in sorted(self.totals)
-            },
-            "concepts": self.totals["intents"],
-            "linearity": self.linearity,
-            "distributivity": self.distributivity,
-            "seed": self.seed,
-        }
-
-
 def _dataset_block(ctx: FormalContext, name: str) -> dict:
     return {
         "name": name,
@@ -105,16 +72,25 @@ def _dataset_block(ctx: FormalContext, name: str) -> dict:
 _FAMILIES = ("intents", "pseudo_intents", "proper_premises", "keys", "passkeys")
 
 
-def build_analysis_report(ctx: FormalContext, dataset_name: str) -> AnalysisReport:
+def build_analysis_report(ctx: FormalContext, dataset_name: str) -> dict:
     index = charsets.index_classes(ctx)
-    return AnalysisReport(
-        dataset=_dataset_block(ctx, dataset_name),
-        totals={name: len(getattr(index, name)) for name in _FAMILIES},
-        histograms={name: index.sizes(name) for name in _FAMILIES},
-        linearity=lattice.linearity(index.lattice),
-        distributivity=lattice.distributivity(index.lattice),
-        engine_version=__version__,
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "analysis",
+        "engine": {"name": "fcakit", "version": __version__},
+        "dataset": _dataset_block(ctx, dataset_name),
+        "classes": {
+            name: {
+                "total": len(getattr(index, name)),
+                "sizes": {str(k): v for k, v in sorted(index.sizes(name).items())},
+            }
+            for name in _FAMILIES
+        },
+        "concepts": len(index.intents),
+        "linearity": lattice.linearity(index.lattice),
+        "distributivity": lattice.distributivity(index.lattice),
+        "seed": None,
+    }
 
 
 def build_indices_report(ctx: FormalContext, dataset_name: str) -> dict:
@@ -239,8 +215,7 @@ def _json_text(report: dict) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     ctx = _load_context(args.input, args.format, args.max_attrs)
-    report = build_analysis_report(ctx, Path(args.input).stem)
-    _emit(_json_text(report.to_dict()), args.out)
+    _emit(_json_text(build_analysis_report(ctx, Path(args.input).stem)), args.out)
     return EXIT_OK
 
 
@@ -359,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContextFormatError, InputError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ContextFormatError, InputError, OSError) as exc:
         print(f"fcakit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

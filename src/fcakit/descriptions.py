@@ -78,12 +78,23 @@ def _pattern_rank(flags: CharFlags) -> int:
     return rank
 
 
-def _flag_lookup(index: ClassIndex) -> tuple[dict[int, CharFlags], CharFlags]:
+def _flag_lookup(
+    ctx: FormalContext, index: ClassIndex | None = None
+) -> tuple[dict[int, CharFlags], CharFlags]:
     """Mask -> flags for every flagged subset, plus the generator-only default.
 
-    Flag instances are interned per combination so that streaming 2^|M|
-    records allocates nothing per record.
+    Refuses contexts too wide for a power-set scan.  Flag instances are
+    interned per combination so that streaming 2^|M| records allocates
+    nothing per record.
     """
+    n = ctx.n_attrs
+    if n > POWERSET_SCAN_LIMIT:
+        raise CapacityError(
+            f"descriptions context over {n} attributes exceeds the "
+            f"{POWERSET_SCAN_LIMIT}-attribute limit"
+        )
+    if index is None:
+        index = index_classes(ctx)
     intents = set(index.intents)
     pseudo = set(index.pseudo_intents)
     keys = set(index.keys)
@@ -117,15 +128,9 @@ def build_descriptions_context(
     ctx: FormalContext, index: ClassIndex | None = None
 ) -> Iterator[tuple[AttrSet, CharFlags]]:
     """Stream one classified record per attribute subset, in lectic order."""
-    n = ctx.n_attrs
-    if n > POWERSET_SCAN_LIMIT:
-        raise CapacityError(
-            f"descriptions context over {n} attributes exceeds the "
-            f"{POWERSET_SCAN_LIMIT}-attribute limit"
-        )
-    lookup, default = _flag_lookup(index if index is not None else index_classes(ctx))
+    lookup, default = _flag_lookup(ctx, index)
     get = lookup.get
-    for mask in iter_lectic_masks(n):
+    for mask in iter_lectic_masks(ctx.n_attrs):
         yield mask, get(mask, default)
 
 
@@ -146,23 +151,15 @@ def group_descriptions(
     return rows
 
 
-def summarize_descriptions(
-    ctx: FormalContext, index: ClassIndex | None = None
-) -> list[DescriptionRow]:
+def summarize_descriptions(ctx: FormalContext) -> list[DescriptionRow]:
     """Grouped description rows without walking the power set.
 
     Equivalent to ``group_descriptions(build_descriptions_context(ctx))``:
     only flagged subsets are touched, the generator-only bulk is a count.
     """
-    n = ctx.n_attrs
-    if n > POWERSET_SCAN_LIMIT:
-        raise CapacityError(
-            f"descriptions context over {n} attributes exceeds the "
-            f"{POWERSET_SCAN_LIMIT}-attribute limit"
-        )
-    lookup, default = _flag_lookup(index if index is not None else index_classes(ctx))
+    lookup, default = _flag_lookup(ctx)
     counts: Counter[CharFlags] = Counter(lookup.values())
-    bulk = (1 << n) - len(lookup)
+    bulk = (1 << ctx.n_attrs) - len(lookup)
     if bulk:
         counts[default] += bulk
     rows = [DescriptionRow(flags, count) for flags, count in counts.items()]

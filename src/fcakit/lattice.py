@@ -24,9 +24,6 @@ import numpy as np
 
 from .context import AttrSet, lectic_sorted
 
-# Below this many intents the pure-Python pair loops win over numpy setup.
-_VECTOR_THRESHOLD = 400
-
 # The numpy pair passes take rows i0..i1-1 against columns i0+1..n-1 as one
 # 2-D block of about this many pairs: small enough to stay in cache, large
 # enough that the per-block numpy calls cost little next to the pair work.
@@ -71,15 +68,12 @@ class ConceptLattice:
     @cached_property
     def _words(self) -> np.ndarray | None:
         """The intents as a `uint64` array for the numpy pair passes, or
-        None when the pure-Python loops apply (too few intents, or masks
-        wider than 64 bits).
+        None when the pure-Python loops apply (masks wider than 64 bits).
 
         The array is ordered by attribute count, so a proper subset never
         comes after its supersets; the pair counts do not depend on order.
         """
-        if len(self.intents) < _VECTOR_THRESHOLD:
-            return None
-        if max(m.bit_length() for m in self.intents) > 64:
+        if max((m.bit_length() for m in self.intents), default=0) > 64:
             return None
         return np.array(sorted(self.intents, key=int.bit_count), dtype=np.uint64)
 

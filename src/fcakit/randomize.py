@@ -18,7 +18,6 @@ CLI metadata.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -165,15 +164,14 @@ def run_trials(
     n_trials: int,
     seed: int,
     metrics: Sequence[str] | None = None,
-    workers: int = 1,
 ) -> list[TrialSummary]:
     """Evaluate the metric suite on the real context and ``n_trials``
     randomized counterparts.
 
     Results are deterministic for fixed ``(ctx, strategy, n_trials, seed,
-    metrics)`` regardless of ``workers``: each trial derives its own seed and
-    aggregation is by trial index.  A metric named more than once is
-    evaluated and reported once, at its first position.
+    metrics)``: each trial derives its own seed and aggregation is by trial
+    index.  A metric named more than once is evaluated and reported once, at
+    its first position.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -182,16 +180,10 @@ def run_trials(
     if not names:
         raise ValueError("metrics must name at least one metric")
     real = evaluate_metrics(ctx, names)
-
-    def one_trial(index: int) -> dict[MetricKey, float]:
-        trial_ctx = shuffle(ctx, strategy, derive_trial_seed(seed, index))
-        return evaluate_metrics(trial_ctx, names)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trial_results = list(pool.map(one_trial, range(n_trials)))
-    else:
-        trial_results = [one_trial(i) for i in range(n_trials)]
+    trial_results = [
+        evaluate_metrics(shuffle(ctx, strategy, derive_trial_seed(seed, i)), names)
+        for i in range(n_trials)
+    ]
 
     all_keys = set(real)
     for result in trial_results:

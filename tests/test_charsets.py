@@ -320,6 +320,12 @@ class TestOracleEquivalence:
             for name, fast in self.PAIRS:
                 assert set(fast(ctx)) == set(oracle[name]), name
 
+    def test_families_in_lectic_order(self):
+        for ctx in fuzz_contexts(200, max_objects=10, max_attrs=10, seed=0x1EC):
+            for name, fast in self.PAIRS:
+                family = list(fast(ctx))
+                assert family == lectic_sorted(family, ctx.n_attrs), name
+
 
 class TestClassAlgebra:
     def test_invariants_on_corpus(self):

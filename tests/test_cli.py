@@ -331,6 +331,18 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert "fcakit: input error: --metrics names no metric" in captured.err
 
+    def test_unreadable_input_is_input_error(self, capsys, monkeypatch):
+        # Root reads past chmod, so the read itself is made to fail.
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        code = main(["indices", str(TOY_CXT)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "fcakit: input error: [Errno 13] Permission denied" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_utf8_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.cxt"
         text = serialize_burmeister(toy_context()).replace("g1", "g\xe9")

@@ -139,6 +139,21 @@ class TestVectorizedPath:
         assert count_comparable_pairs(lat) == brute_comparable(masks)
         assert count_union_closed_pairs(lat) == brute_union_closed(masks)
 
+    def test_wide_fuzz_corpus(self):
+        # Shifting every intent keeps the subset and union relations, and
+        # pushes the universe past bit 63 onto the pure-Python loops.
+        tested = 0
+        for ctx in fuzz_contexts(200, max_objects=10, max_attrs=10, seed=0xB10C):
+            if ctx.n_attrs < 5:
+                continue
+            masks = [m << 60 for m in enumerate_intents(ctx)]
+            lat = build_lattice(masks)
+            assert lat._words is None
+            assert count_comparable_pairs(lat) == brute_comparable(masks)
+            assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+            tested += len(lat) > 1
+        assert tested > 50
+
     def test_corpus_agreement(self):
         for ctx in fuzz_contexts(20, max_objects=7, max_attrs=8, seed=5):
             lat = build_lattice(enumerate_intents(ctx))
@@ -206,12 +221,8 @@ class TestVectorizedPath:
 
 
 class TestPairBlocks:
-    """The numpy pair passes on every lattice of two or more intents, so
-    single-row blocks, the last block and the triangle masks all run."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy_from_two_intents(self, monkeypatch):
-        monkeypatch.setattr(lattice, "_VECTOR_THRESHOLD", 2)
+    """The numpy pair passes on lattices from two intents up, so single-row
+    blocks, the last block and the triangle masks all run."""
 
     def test_fuzz_corpus(self):
         sizes = set()

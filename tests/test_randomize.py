@@ -119,11 +119,22 @@ class TestRunTrials:
         b = run_trials(toy, "column", 5, seed=42)
         assert a == b
 
-    def test_workers_do_not_change_results(self):
+    @pytest.mark.parametrize("strategy", ["density", "column"])
+    def test_each_trial_reproducible_alone(self, strategy):
+        # Trial i is the metric suite on the context shuffled with trial i's
+        # own seed, whatever the other trials are.
         demo = grouped_demo_context()
-        sequential = run_trials(demo, Strategy.DENSITY, 8, seed=5, workers=1)
-        threaded = run_trials(demo, Strategy.DENSITY, 8, seed=5, workers=4)
-        assert sequential == threaded
+        summaries = run_trials(demo, strategy, 6, seed=5)
+        for i in range(6):
+            shuffled = shuffle(demo, strategy, derive_trial_seed(5, i))
+            values = evaluate_metrics(shuffled)
+            assert set(values) <= {(s.metric, s.size) for s in summaries}
+            for s in summaries:
+                assert s.trial_values[i] == values.get((s.metric, s.size), 0.0)
+        shorter = run_trials(demo, strategy, 3, seed=5)
+        prefixes = {(s.metric, s.size): s.trial_values[:3] for s in summaries}
+        for s in shorter:
+            assert prefixes.get((s.metric, s.size), (0.0,) * 3) == s.trial_values
 
     def test_single_trial_reproducible(self):
         toy = toy_context()
