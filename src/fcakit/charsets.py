@@ -15,6 +15,13 @@ attribute set:
 lattice of one context, each computed on first use and then kept.  It is
 how the reports and every randomized trial reach the families.  All
 enumeration output is returned in lectic order.
+
+Contexts of up to 64 attributes run on numpy ``uint64`` words: the intent
+enumeration, the basis scan's preclosure (``_WordRules``) and the whole key
+family (``_word_keys``, ``_WordKeys``).  Wider contexts run the same
+algorithms on Python ints (``_ScalarRules``, ``_scalar_keys``,
+``_ScalarKeys``), which stay as the differential twins of the word paths.
+The brute-force oracles and the one-subset ``classify`` live in the tests.
 """
 
 from __future__ import annotations
@@ -31,11 +38,15 @@ from .context import (
     FormalContext,
     ObjSet,
     closure,
-    extent,
     intent_of,
     iter_bits,
+    lectic_order,
     lectic_sorted,
 )
+
+# The word key search builds candidates, and closes keys, in blocks of about
+# this many extent words (256 KB per array), as the lattice pair passes do.
+_BLOCK_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,8 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     Contexts of up to 64 attributes keep the family as a sorted ``uint64``
     array: each row meets all members at once, the new meets are found by
     binary search, and a stable sort merges the two sorted runs in linear
-    time.  Wider contexts use a Python set; both give the same list.
+    time; ``lectic_order`` then sorts the result lectically.  Wider
+    contexts use a Python set; both give the same list.
     """
     n = ctx.n_attrs
     if n > 64:
@@ -101,7 +113,7 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
         new = cand[fam[np.searchsorted(fam, cand)] != cand]
         if len(new):
             fam = np.sort(np.concatenate((fam, new)), kind="stable")
-    return lectic_sorted(fam.tolist(), n)
+    return fam[lectic_order(fam)].tolist()
 
 
 class _ScalarRules:
@@ -266,29 +278,25 @@ def implication_closure(b: AttrSet, basis: Iterable[Implication]) -> AttrSet:
     return x
 
 
-def is_proper_premise(ctx: FormalContext, attrs: AttrSet) -> bool:
-    """True iff ``attrs`` closes to something no proper subset accounts for.
-
-    The test is whether the union of ``attrs`` with the closures of its
-    one-element-removed subsets falls short of the closure of ``attrs``.
-    """
-    u = attrs
-    for j in iter_bits(attrs):
-        u |= closure(ctx, attrs ^ (1 << j))
-    return u != closure(ctx, attrs)
-
-
 def enumerate_keys(ctx: FormalContext) -> _Keys:
     """All minimal generators, in lectic order.
 
-    Levelwise search: a set can only be a key if every one-element-removed
-    subset is a key (freeness is anti-monotone), so level ``k + 1``
-    candidates are built from level-``k`` keys and rejected as soon as a
-    single-element removal preserves the extent.
+    Levelwise search, as in Titanic (Stumme et al., 2002): a set can only be
+    a key if every one-element-removed subset is a key (freeness is
+    anti-monotone), so level ``k + 1`` candidates are built from level-``k``
+    keys and rejected as soon as a single-element removal preserves the
+    extent.  Contexts of up to 64 attributes search on ``uint64`` words
+    (``_word_keys``), wider ones on Python ints (``_scalar_keys``); both
+    give the same keys, closures, passkeys and proper premises.
 
     The list returned also carries the extent of every key it found, so the
     key-family functions below close each key from its extent.
     """
+    return _word_keys(ctx) if ctx.n_attrs <= 64 else _scalar_keys(ctx)
+
+
+def _scalar_keys(ctx: FormalContext) -> _ScalarKeys:
+    """The levelwise key search on Python ints, any width."""
     n = ctx.n_attrs
     cols = ctx.columns
     extents: dict[int, int] = {0: ctx.object_universe}
@@ -311,17 +319,98 @@ def enumerate_keys(ctx: FormalContext) -> _Keys:
                     cur[cand] = cext
         extents.update(cur)
         prev = cur
-    return _Keys(ctx, lectic_sorted(extents, n), extents)
+    return _ScalarKeys(ctx, lectic_sorted(extents, n), extents)
+
+
+def _object_words(masks: Iterable[ObjSet], n_words: int) -> np.ndarray:
+    """Object sets as the columns of an ``(n_words, len(masks))`` ``uint64``
+    block: object ``g`` is bit ``g % 64`` of row ``g // 64``.  Word-major
+    rows make the per-set reductions run along the fast axis."""
+    data = b"".join(m.to_bytes(8 * n_words, "little") for m in masks)
+    rows = np.frombuffer(data, dtype="<u8").reshape(-1, n_words)
+    return np.ascontiguousarray(rows.T, dtype=np.uint64)
+
+
+def _word_keys(ctx: FormalContext) -> _WordKeys:
+    """The levelwise key search on ``uint64`` words, up to 64 attributes.
+
+    Each level is a sorted ``uint64`` array of key masks and a block of
+    their extents, one column of words per key.  The candidates of a level
+    are every key ``k`` with every attribute ``m`` above its top bit.  For
+    each ``m`` their parents are the keys below ``1 << m``, a prefix of the
+    level, so walking ``m`` upwards lists the candidates in ascending order
+    and the next level needs no sort.  They are built in blocks of about
+    ``_BLOCK_WORDS`` extent words.  A candidate with its parent's extent is
+    rejected first; then its one-removed subsets are looked up in the level
+    by binary search, one bit of the parent at a time (lowest first), and a
+    missing subset or one with the candidate's extent rejects it.
+    """
+    n = ctx.n_attrs
+    n_words = max(1, -(-ctx.n_objects // 64))
+    cols = _object_words(ctx.columns, n_words)
+    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    step = max(1, _BLOCK_WORDS // n_words)
+    masks = np.zeros(1, dtype=np.uint64)
+    exts = _object_words([ctx.object_universe], n_words)
+    levels = [(masks, exts)]
+    size = 0
+    while True:
+        parents = np.searchsorted(masks, bits)
+        total = int(parents.sum())
+        if not total:
+            break
+        attr = np.repeat(np.arange(n), parents)
+        parent = np.arange(total) - np.repeat(np.cumsum(parents) - parents, parents)
+        found = []
+        for s in range(0, total, step):
+            par = parent[s : s + step]
+            att = attr[s : s + step]
+            pext = exts.take(par, axis=1)
+            cext = pext & cols.take(att, axis=1)
+            keep = (cext != pext).any(axis=0)
+            par, att, cext = par[keep], att[keep], cext[:, keep]
+            rest = masks[par]
+            cand = rest | bits[att]
+            for _ in range(size):
+                low = rest & (~rest + np.uint64(1))
+                sub = cand ^ low
+                # A subset above every key of the level is missing, as is
+                # one whose clipped position holds another mask.
+                pos = np.minimum(np.searchsorted(masks, sub), len(masks) - 1)
+                keep = masks[pos] == sub
+                keep &= (exts.take(pos, axis=1) != cext).any(axis=0)
+                cand, cext, rest = cand[keep], cext[:, keep], rest[keep] ^ low[keep]
+            found.append((cand, cext))
+        masks = np.concatenate([c for c, _ in found])
+        exts = np.concatenate([e for _, e in found], axis=1)
+        levels.append((masks, exts))
+        size += 1
+    return _WordKeys(cols, levels)
 
 
 class _Keys(list):
-    """A context's full key family, carrying the extent of every key.
+    """A context's full key family, in lectic order, with the family's
+    closures, passkeys and proper premises.
 
     ``enumerate_keys`` returns one, and the key-family functions below take
-    it as ``keys``.  ``closures`` closes each key once for all of them, from
-    the extent the search already holds, and only when one of them needs it;
-    it iterates in the keys' lectic order, which the results keep.
+    it as ``keys``.  Each key is closed once for all of them, from the
+    extent the search already holds, and only when one of them needs it.
+    ``closures`` maps each key to its closure and iterates in the keys'
+    lectic order, which the results keep.  ``_ScalarKeys`` works on Python
+    ints, any width; ``_WordKeys`` on ``uint64`` words, up to 64 attributes.
     """
+
+    closures: dict[AttrSet, AttrSet]
+
+    def passkeys(self) -> list[AttrSet]:
+        raise NotImplementedError
+
+    def proper_premises(self) -> list[AttrSet]:
+        raise NotImplementedError
+
+
+class _ScalarKeys(_Keys):
+    """The key family as Python ints, each key's extent in a dict."""
 
     def __init__(
         self, ctx: FormalContext, keys: list[AttrSet], extents: dict[AttrSet, ObjSet]
@@ -333,6 +422,90 @@ class _Keys(list):
     @cached_property
     def closures(self) -> dict[AttrSet, AttrSet]:
         return {k: intent_of(self._ctx, self._extents[k]) for k in self}
+
+    def passkeys(self) -> list[AttrSet]:
+        key_closures = self.closures
+        best = _min_key_sizes(key_closures)
+        return [k for k, c in key_closures.items() if k.bit_count() == best[c]]
+
+    def proper_premises(self) -> list[AttrSet]:
+        # Every one-element-removed subset of a key is a key, so the
+        # closures the test needs are those of the family.
+        key_closures = self.closures
+        out = []
+        for k, c in key_closures.items():
+            u = k
+            for j in iter_bits(k):
+                u |= key_closures[k ^ (1 << j)]
+            if u != c:
+                out.append(k)
+        return out
+
+
+class _WordKeys(_Keys):
+    """The key family as ``uint64`` arrays, level after level.
+
+    ``_masks`` and ``_sizes`` hold each key and its size (its level), and
+    column ``i`` of ``_extents`` its extent words, levels in order and each
+    level sorted; ``_order`` is the permutation to lectic order.
+    """
+
+    def __init__(
+        self, columns: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        self._masks = np.concatenate([m for m, _ in levels])
+        self._extents = np.concatenate([e for _, e in levels], axis=1)
+        self._sizes = np.repeat(np.arange(len(levels)), [len(m) for m, _ in levels])
+        self._order = lectic_order(self._masks)
+        self._columns = columns
+        super().__init__(self._masks[self._order].tolist())
+
+    def _lectic(self, flags: np.ndarray) -> list[AttrSet]:
+        """The keys whose ``flags`` entry is set, in lectic order."""
+        return self._masks[self._order[flags[self._order]]].tolist()
+
+    @cached_property
+    def _closure_words(self) -> np.ndarray:
+        """Each key's closure: attribute ``j`` is in it when the extent lies
+        inside column ``j`` on every word."""
+        exts = self._extents
+        out = np.zeros(exts.shape[1], dtype=np.uint64)
+        step = max(1, _BLOCK_WORDS // exts.shape[0])
+        for s in range(0, exts.shape[1], step):
+            ext = exts[:, s : s + step]
+            acc = out[s : s + step]
+            for j in range(self._columns.shape[1]):
+                inside = ((ext & self._columns[:, j, None]) == ext).all(axis=0)
+                np.bitwise_or(acc, np.uint64(1 << j), out=acc, where=inside)
+        return out
+
+    @cached_property
+    def closures(self) -> dict[AttrSet, AttrSet]:
+        return dict(zip(self, self._closure_words[self._order].tolist()))
+
+    def passkeys(self) -> list[AttrSet]:
+        classes, which = np.unique(self._closure_words, return_inverse=True)
+        best = np.full(len(classes), self._sizes[-1])
+        np.minimum.at(best, which, self._sizes)
+        return self._lectic(self._sizes == best[which])
+
+    def proper_premises(self) -> list[AttrSet]:
+        # Every one-element-removed subset of a key is a key.  Keys of more
+        # than t bits are a suffix of the level order; round t ORs in the
+        # closure of each one's subset without its t-th lowest bit.
+        masks, closures = self._masks, self._closure_words
+        by_value = np.argsort(masks)
+        sorted_masks, sorted_closures = masks[by_value], closures[by_value]
+        union = masks.copy()
+        rest = masks.copy()
+        for t in range(int(self._sizes[-1])):
+            s = int(np.searchsorted(self._sizes, t + 1))
+            r = rest[s:]
+            low = r & (~r + np.uint64(1))
+            pos = np.searchsorted(sorted_masks, masks[s:] ^ low)
+            union[s:] |= sorted_closures[pos]
+            r ^= low
+        return self._lectic(union != closures)
 
 
 def _min_key_sizes(key_closures: dict[AttrSet, AttrSet]) -> dict[AttrSet, int]:
@@ -351,9 +524,7 @@ def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[At
     """
     if keys is None:
         keys = enumerate_keys(ctx)
-    key_closures = keys.closures
-    best = _min_key_sizes(key_closures)
-    return [k for k, c in key_closures.items() if k.bit_count() == best[c]]
+    return keys.passkeys()
 
 
 def enumerate_proper_premises(
@@ -362,20 +533,10 @@ def enumerate_proper_premises(
     """All proper premises, in lectic order (every proper premise is a key).
 
     ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
-    Every one-element-removed subset of a key is a key (freeness is
-    anti-monotone), so the closures the test needs are those of the family.
     """
     if keys is None:
         keys = enumerate_keys(ctx)
-    key_closures = keys.closures
-    out = []
-    for k, c in key_closures.items():
-        u = k
-        for j in iter_bits(k):
-            u |= key_closures[k ^ (1 << j)]
-        if u != c:
-            out.append(k)
-    return out
+    return keys.proper_premises()
 
 
 def min_key_sizes(ctx: FormalContext) -> dict[AttrSet, int]:
@@ -432,38 +593,3 @@ def index_classes(ctx: FormalContext) -> ClassIndex:
     """The lazily computed characteristic families of ``ctx``."""
     return ClassIndex(ctx)
 
-
-def classify(
-    ctx: FormalContext,
-    attrs: AttrSet,
-    pseudo_intents: Iterable[AttrSet],
-    min_key_size_index: dict[AttrSet, int] | None = None,
-) -> CharFlags:
-    """Evaluate all characteristic flags of one attribute subset.
-
-    ``pseudo_intents`` must be the complete pseudo-intent family of the
-    context (the pseudo-intent property is not locally decidable).  The
-    passkey flag needs the minimum key size of the subset's closure class
-    (a smallest generator is always a key); pass ``min_key_size_index``
-    (``min_key_sizes``) to avoid recomputing it per call.
-    """
-    pseudo = (
-        pseudo_intents
-        if isinstance(pseudo_intents, (set, frozenset))
-        else set(pseudo_intents)
-    )
-    c = closure(ctx, attrs)
-    e = extent(ctx, attrs)
-    is_key = all(extent(ctx, attrs ^ (1 << j)) != e for j in iter_bits(attrs))
-    is_passkey = False
-    if is_key:
-        if min_key_size_index is None:
-            min_key_size_index = min_key_sizes(ctx)
-        is_passkey = attrs.bit_count() == min_key_size_index[c]
-    return CharFlags(
-        is_intent=c == attrs,
-        is_pseudo_intent=attrs in pseudo,
-        is_key=is_key,
-        is_passkey=is_passkey,
-        is_proper_premise=is_proper_premise(ctx, attrs),
-    )

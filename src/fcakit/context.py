@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, TypeAlias
 
+import numpy as np
+
 AttrSet: TypeAlias = int
 ObjSet: TypeAlias = int
 
@@ -75,6 +77,24 @@ def bit_reverse(value: int, width: int) -> int:
 
 def lectic_sorted(masks: Iterable[int], width: int) -> list[int]:
     return sorted(masks, key=lambda m: bit_reverse(m, width))
+
+
+# _REV8[b] is the byte b with its eight bits in reverse order.
+_REV8 = np.array([_REV16[b] >> 8 for b in range(256)], dtype=np.uint8)
+
+
+def lectic_order(words: np.ndarray) -> np.ndarray:
+    """The permutation that sorts a ``uint64`` array of masks lectically.
+
+    The word path's twin of ``lectic_sorted``, for masks of any width up to
+    64.  Each word is bit-reversed as a whole: every byte through a table,
+    then the byte order.  A mask of a ``width``-attribute context has no bit
+    at or above ``width``, so its 64-bit reversal is its ``width``-bit one
+    shifted left by ``64 - width``, which sorts alike.  No shift is made,
+    so width 0 (all masks empty) needs no special case.
+    """
+    rev = _REV8[np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)]
+    return np.argsort(rev.view(np.uint64).byteswap(), kind="stable")
 
 
 def iter_lectic_masks(width: int) -> Iterator[int]:

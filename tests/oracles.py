@@ -2,17 +2,24 @@
 
 Test machinery, not library code: each family is decided by quantifying its
 defining condition over the power set, independently of the fast
-enumerations in ``fcakit.charsets``.
+enumerations in ``fcakit.charsets``.  ``classify`` and ``is_proper_premise``
+decide the flags of one subset from the definitions, through ``closure``
+and ``extent``.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
+from fcakit.charsets import CharFlags, min_key_sizes
 from fcakit.context import (
     AttrSet,
     CapacityError,
     FormalContext,
     POWERSET_SCAN_LIMIT,
     bit_reverse,
+    closure,
+    extent,
     iter_bits,
     iter_lectic_masks,
     lectic_sorted,
@@ -113,3 +120,51 @@ def brute_force_class(ctx: FormalContext, class_name: str) -> list[AttrSet]:
             f"unknown class {class_name!r}, expected one of {BRUTE_FORCE_CLASSES}"
         )
     return brute_force_all(ctx)[class_name]
+
+
+def is_proper_premise(ctx: FormalContext, attrs: AttrSet) -> bool:
+    """True iff ``attrs`` closes to something no proper subset accounts for.
+
+    The test is whether the union of ``attrs`` with the closures of its
+    one-element-removed subsets falls short of the closure of ``attrs``.
+    """
+    u = attrs
+    for j in iter_bits(attrs):
+        u |= closure(ctx, attrs ^ (1 << j))
+    return u != closure(ctx, attrs)
+
+
+def classify(
+    ctx: FormalContext,
+    attrs: AttrSet,
+    pseudo_intents: Iterable[AttrSet],
+    min_key_size_index: dict[AttrSet, int] | None = None,
+) -> CharFlags:
+    """Evaluate all characteristic flags of one attribute subset.
+
+    ``pseudo_intents`` must be the complete pseudo-intent family of the
+    context (the pseudo-intent property is not locally decidable).  The
+    passkey flag needs the minimum key size of the subset's closure class
+    (a smallest generator is always a key); pass ``min_key_size_index``
+    (``min_key_sizes``) to avoid recomputing it per call.
+    """
+    pseudo = (
+        pseudo_intents
+        if isinstance(pseudo_intents, (set, frozenset))
+        else set(pseudo_intents)
+    )
+    c = closure(ctx, attrs)
+    e = extent(ctx, attrs)
+    is_key = all(extent(ctx, attrs ^ (1 << j)) != e for j in iter_bits(attrs))
+    is_passkey = False
+    if is_key:
+        if min_key_size_index is None:
+            min_key_size_index = min_key_sizes(ctx)
+        is_passkey = attrs.bit_count() == min_key_size_index[c]
+    return CharFlags(
+        is_intent=c == attrs,
+        is_pseudo_intent=attrs in pseudo,
+        is_key=is_key,
+        is_passkey=is_passkey,
+        is_proper_premise=is_proper_premise(ctx, attrs),
+    )

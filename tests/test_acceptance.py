@@ -15,7 +15,6 @@ from itertools import combinations
 
 from fcakit import (
     Strategy,
-    classify,
     closure,
     column_shuffle,
     density_shuffle,
@@ -46,7 +45,7 @@ from conftest import (
     staircase_context,
     toy_context,
 )
-from oracles import brute_force_all
+from oracles import brute_force_all, classify
 
 # Shared fuzz corpus for criteria 3-6: 200 deterministic random contexts,
 # most of them at substantial size, a tail of degenerate shapes.

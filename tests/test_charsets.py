@@ -12,7 +12,6 @@ from fcakit import (
     CharFlags,
     FormalContext,
     Implication,
-    classify,
     closure,
     dg_basis,
     enumerate_intents,
@@ -22,7 +21,6 @@ from fcakit import (
     enumerate_pseudo_intents,
     implication_closure,
     index_classes,
-    is_proper_premise,
 )
 from fcakit import charsets
 from fcakit.charsets import (
@@ -42,7 +40,7 @@ from conftest import (
     realistic_context,
     staircase_context,
 )
-from oracles import brute_force_all, brute_force_class
+from oracles import brute_force_all, brute_force_class, classify, is_proper_premise
 
 
 def all_masks(ctx: FormalContext) -> range:
@@ -741,3 +739,109 @@ class TestKeyClosures:
         for ctx in acceptance_corpus() + [realistic_context()]:
             keys = enumerate_keys(ctx)
             assert list(keys.closures.items()) == [(k, closure(ctx, k)) for k in keys]
+
+
+def key_families(keys) -> dict[str, list]:
+    """Keys, their closures, passkeys and proper premises, as plain lists."""
+    return {
+        "key": list(keys),
+        "closures": list(keys.closures.items()),
+        "passkey": keys.passkeys(),
+        "proper_premise": keys.proper_premises(),
+    }
+
+
+def assert_word_keys_match(ctx: FormalContext, oracle: bool = True) -> dict[str, list]:
+    """The word key path against its scalar twin and, when ``oracle`` is set,
+    against the brute-force families and ``closure``, list for list."""
+    word = charsets._word_keys(ctx)
+    got = key_families(word)
+    assert got == key_families(charsets._scalar_keys(ctx))
+    if oracle:
+        want = brute_force_all(ctx)
+        for name in ("key", "passkey", "proper_premise"):
+            assert got[name] == want[name], name
+        assert got["closures"] == [(k, closure(ctx, k)) for k in want["key"]]
+    return got
+
+
+def pad_with_full_columns(ctx: FormalContext, pad: int) -> FormalContext:
+    """``ctx`` with ``pad`` attributes that every object has, put first.
+
+    A full column lies in the closure of the empty set, so it is in no key:
+    the keys, passkeys and proper premises are those of ``ctx`` shifted up
+    by ``pad`` bits, in the same lectic order, and every closure gains the
+    new attributes.
+    """
+    low = (1 << pad) - 1
+    return FormalContext(
+        ctx.object_names,
+        tuple(f"p{k}" for k in range(pad)) + ctx.attribute_names,
+        tuple(row << pad | low for row in ctx.rows),
+    )
+
+
+class TestKeyKernels:
+    """The word key family (up to 64 attributes) against its scalar twin,
+    the brute-force oracle and ``closure``, list for list."""
+
+    def test_fuzz_corpus(self):
+        for ctx in acceptance_corpus():
+            assert isinstance(enumerate_keys(ctx), charsets._WordKeys)
+            assert_word_keys_match(ctx)
+
+    def test_realistic_scale(self):
+        assert_word_keys_match(realistic_context())
+
+    @pytest.mark.parametrize(
+        "rows, width",
+        [((), 0), ((0, 0), 0), ((), 1), ((0,), 1), ((1,), 1), ((0, 1, 1), 1)],
+        ids=["0x0", "2x0", "0x1", "empty-row", "full-row", "3x1"],
+    )
+    def test_narrowest_contexts(self, rows, width):
+        ctx = FormalContext(
+            tuple(f"g{k}" for k in range(len(rows))),
+            tuple(f"m{k}" for k in range(width)),
+            rows,
+        )
+        assert_word_keys_match(ctx)
+
+    @pytest.mark.parametrize("n_objects", [0, 1, 63, 64, 65, 128, 403])
+    def test_object_counts_across_word_padding(self, n_objects):
+        # The last object alone decides some keys: it is the only one with
+        # attribute 0, so every extent's last word is exercised.
+        rnd = random.Random(n_objects)
+        rows = [rnd.getrandbits(8) & ~1 for _ in range(n_objects)]
+        if rows:
+            rows[-1] |= 1
+        ctx = FormalContext(
+            tuple(f"g{k}" for k in range(n_objects)),
+            tuple(f"m{k}" for k in range(8)),
+            tuple(rows),
+        )
+        got = assert_word_keys_match(ctx)
+        if n_objects > 1:
+            assert 1 in got["key"]
+
+    @pytest.mark.parametrize("width", [62, 63, 64])
+    def test_word_path_near_64_bits(self, width):
+        ctx = wide_context(width, 6, seed=width)
+        got = assert_word_keys_match(ctx, oracle=False)
+        top = 1 << (width - 1)
+        assert any(k & top for k in got["proper_premise"])
+        assert any(k & top for k in got["passkey"])
+
+    @pytest.mark.parametrize("width", [65, 70])
+    def test_scalar_path_beyond_64_bits(self, width):
+        narrow = wide_context(64, 6, seed=width)
+        pad = width - 64
+        ctx = pad_with_full_columns(narrow, pad)
+        keys = enumerate_keys(ctx)
+        assert isinstance(keys, charsets._ScalarKeys)
+        got = key_families(keys)
+        want = key_families(charsets._word_keys(narrow))
+        low = (1 << pad) - 1
+        for name in ("key", "passkey", "proper_premise"):
+            assert got[name] == [k << pad for k in want[name]], name
+        assert got["closures"] == [(k << pad, c << pad | low) for k, c in want["closures"]]
+        assert any(k >> 64 for k in got["proper_premise"])

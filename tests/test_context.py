@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,14 @@ from fcakit import (
     serialize_burmeister,
     serialize_dense_csv,
 )
-from fcakit.context import POWERSET_SCAN_LIMIT, bit_reverse, iter_bits, iter_lectic_masks
+from fcakit.context import (
+    POWERSET_SCAN_LIMIT,
+    bit_reverse,
+    iter_bits,
+    iter_lectic_masks,
+    lectic_order,
+    lectic_sorted,
+)
 
 from conftest import DATA_DIR, contexts, ctx_of
 
@@ -287,3 +297,14 @@ class TestLecticOrder:
     def test_iter_bits(self):
         assert list(iter_bits(0b10110)) == [1, 2, 4]
         assert list(iter_bits(0)) == []
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 63, 64])
+    def test_word_order_matches_lectic_sorted(self, width):
+        rnd = random.Random(width)
+        full = (1 << width) - 1
+        masks = {0, full, 1 & full, 1 << max(width - 1, 0) & full}
+        masks.update(rnd.getrandbits(width) if width else 0 for _ in range(300))
+        masks = list(masks)
+        words = np.array(masks, dtype=np.uint64)
+        assert words[lectic_order(words)].tolist() == lectic_sorted(masks, width)
+        assert lectic_order(words[:0]).tolist() == []
