@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,12 @@ from fcakit import (
     lattice,
     linearity,
 )
+from fcakit.context import lectic_sorted
 from fcakit.lattice import (
+    _cube_union_closed_pairs,
+    _cubes_pay,
+    _pair_union_closed_pairs,
+    _popcounts,
     count_comparable_pairs,
     count_union_closed_pairs,
     pair_total,
@@ -43,6 +49,20 @@ def brute_comparable(masks) -> int:
 def brute_union_closed(masks) -> int:
     member = set(masks)
     return sum(1 for a, b in combinations(masks, 2) if a | b in member)
+
+
+def pair_pass(lat) -> int:
+    """The blocked union pair pass, whichever path the size rule picks."""
+    return _pair_union_closed_pairs(lat._words)
+
+
+def cube_count(lat) -> int:
+    """The cube union count, whichever path the size rule picks."""
+    return _cube_union_closed_pairs(lat._words, _popcounts(lat._words))
+
+
+def cubes_pay(lat) -> bool:
+    return _cubes_pay(lat._words, _popcounts(lat._words))
 
 
 class TestBuildLattice:
@@ -75,6 +95,12 @@ class TestBuildLattice:
     def test_intents_sorted_lectically(self, toy):
         lat = build_lattice(enumerate_intents(toy))
         assert list(lat) == enumerate_intents(toy)
+
+    @pytest.mark.parametrize("width", [1, 24, 63, 64, 65, 90])
+    def test_word_and_python_lectic_sorts_agree(self, width):
+        rnd = random.Random(width)
+        masks = list({rnd.getrandbits(width) for _ in range(300)})
+        assert list(build_lattice(masks)) == lectic_sorted(masks, width)
 
 
 class TestIndices:
@@ -177,7 +203,9 @@ class TestVectorizedPath:
         lat = build_lattice(enumerate_intents(realistic_context()))
         assert len(lat) == 1658
         assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
-        assert count_union_closed_pairs(lat) == brute_union_closed(lat.intents)
+        expected = brute_union_closed(lat.intents)
+        assert count_union_closed_pairs(lat) == expected
+        assert pair_pass(lat) == cube_count(lat) == expected
 
     def test_every_union_a_member(self):
         lat = build_lattice(list(range(1 << 9)))
@@ -210,7 +238,9 @@ class TestVectorizedPath:
         masks = list(masks)
         lat = ConceptLattice(tuple(masks))
         assert lat._words is not None
-        assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+        expected = brute_union_closed(masks)
+        assert count_union_closed_pairs(lat) == expected
+        assert pair_pass(lat) == expected
 
     def test_no_union_a_member(self):
         masks = [(1 << a) | (1 << b) for a, b in combinations(range(30), 2)]
@@ -218,6 +248,136 @@ class TestVectorizedPath:
         assert len(lat) == 435
         assert count_union_closed_pairs(lat) == 0
         assert count_comparable_pairs(lat) == 0
+
+
+class TestCubeCount:
+    """The cube union count against the pair pass and the brute count, on
+    either side of the size rule."""
+
+    @staticmethod
+    def check(masks) -> int:
+        lat = ConceptLattice(tuple(masks))
+        expected = brute_union_closed(masks)
+        assert cube_count(lat) == pair_pass(lat) == expected
+        assert count_union_closed_pairs(lat) == expected
+        return expected
+
+    @pytest.mark.parametrize("with_top", [False, True])
+    def test_random_families(self, with_top):
+        rnd = random.Random(12 + with_top)
+        for _ in range(150):
+            width = rnd.randint(1, 12)
+            masks = {rnd.getrandbits(width) for _ in range(rnd.randint(2, 80))}
+            top = 0
+            for m in masks:
+                top |= m
+            if with_top:
+                masks.add(top)
+            else:
+                masks.discard(top)
+            if len(masks) >= 2:
+                self.check(sorted(masks))
+
+    @pytest.mark.parametrize("width", [6, 9, 12])
+    def test_halves_unite_to_top(self, width):
+        # Many pairs of non-top members unite to the top: each member has
+        # about half the attributes, and most come with their complement.
+        rnd = random.Random(width)
+        top = (1 << width) - 1
+        masks = {top}
+        for _ in range(60):
+            half = sum(1 << a for a in rnd.sample(range(width), width // 2))
+            masks.add(half)
+            if rnd.random() < 0.7:
+                masks.add(top ^ half)
+            masks.add(half | (1 << rnd.randrange(width)))
+        masks = sorted(masks)
+        non_top = [m for m in masks if m != top]
+        assert sum(1 for a, b in combinations(non_top, 2) if a | b == top) > 20
+        self.check(masks)
+
+    def test_members_using_bit_63(self):
+        rnd = random.Random(63)
+        for with_top in (False, True):
+            masks = {rnd.getrandbits(8) | (rnd.getrandbits(1) << 63) for _ in range(200)}
+            masks.add(1 << 63)
+            top = 0
+            for m in masks:
+                top |= m
+            if with_top:
+                masks.add(top)
+            else:
+                masks.discard(top)
+            assert max(masks).bit_length() == 64
+            self.check(sorted(masks))
+
+    @pytest.mark.parametrize(
+        "masks",
+        [[0, 1], [1, 2], [1, 3], [0, 1 << 63], [3, 5], [1 << 63, (1 << 63) | 1]],
+    )
+    def test_two_members(self, masks):
+        self.check(masks)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_boolean_and_contranominal(self, k):
+        lat = build_lattice(enumerate_intents(contranominal_context(k)))
+        n = len(lat)
+        assert n == 1 << k
+        assert cube_count(lat) == pair_pass(lat) == n * (n - 1) // 2
+        # The Boolean lattice on k attributes from bit 63 down.
+        shifted = [m << (64 - k) for m in lat.intents]
+        assert self.check(shifted) == n * (n - 1) // 2
+
+    def test_each_side_of_the_cost_rule(self):
+        # Thousands of small intents under a 40-attribute top pay for their
+        # cubes; the Boolean lattice on 12 attributes, whose 2^12 members
+        # have up to 11 attributes and many unite to the top, does not.
+        rnd = random.Random(40)
+        small = {sum(1 << a for a in rnd.sample(range(40), rnd.randint(0, 4)))
+                 for _ in range(3000)}
+        small.add((1 << 40) - 1)
+        boolean = list(range(1 << 12))
+        for masks, pays in ((sorted(small), True), (boolean, False)):
+            lat = ConceptLattice(tuple(masks))
+            assert cubes_pay(lat) is pays
+            assert cube_count(lat) == pair_pass(lat) == count_union_closed_pairs(lat)
+        assert count_union_closed_pairs(ConceptLattice(tuple(boolean))) == (
+            len(boolean) * (len(boolean) - 1) // 2
+        )
+
+    @pytest.mark.parametrize("k, pays", [(15, True), (16, False)])
+    def test_one_cube_per_block_at_most(self, k, pays):
+        # One k-attribute member among thousands of small ones: its 2^k
+        # cells would pay, but above 15 attributes its cube outgrows a block.
+        rnd = random.Random(k)
+        masks = {sum(1 << a for a in rnd.sample(range(40), rnd.randint(1, 4)))
+                 for _ in range(5000)}
+        masks |= {(1 << k) - 1, (1 << 40) - 1}
+        lat = ConceptLattice(tuple(sorted(masks)))
+        assert len(lat) > 3000
+        assert cubes_pay(lat) is pays
+        assert count_union_closed_pairs(lat) == pair_pass(lat)
+
+    def test_wide_chain_takes_pair_pass(self, monkeypatch):
+        # A 60-attribute chain has members of up to 59 attributes: it is
+        # turned down from the attribute counts, before any cube is built.
+        lat = build_lattice(enumerate_intents(staircase_context(60)))
+        assert len(lat) == 60
+        words, sizes = lat._words, _popcounts(lat._words)
+        tracemalloc.start()
+        try:
+            pays = _cubes_pay(words, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not pays
+        assert peak < 1 << 12  # a 16-attribute cube alone takes 512 KB
+
+        def no_cubes(words, sizes):
+            raise AssertionError("cube count on a wide chain")
+
+        monkeypatch.setattr(lattice, "_cube_union_closed_pairs", no_cubes)
+        assert count_union_closed_pairs(lat) == 60 * 59 // 2
 
 
 class TestPairBlocks:
@@ -233,7 +393,9 @@ class TestPairBlocks:
             sizes.add(len(lat))
             assert lat._words is not None
             assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
-            assert count_union_closed_pairs(lat) == brute_union_closed(lat.intents)
+            expected = brute_union_closed(lat.intents)
+            assert count_union_closed_pairs(lat) == expected
+            assert pair_pass(lat) == cube_count(lat) == expected
         assert min(sizes) == 2 and max(sizes) > 50
 
     @pytest.mark.parametrize("n", [181, 182, 400, 401, 1000])
@@ -245,4 +407,6 @@ class TestPairBlocks:
         masks = list(masks)
         lat = ConceptLattice(tuple(masks))
         assert count_comparable_pairs(lat) == brute_comparable(masks)
-        assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+        expected = brute_union_closed(masks)
+        assert count_union_closed_pairs(lat) == expected
+        assert pair_pass(lat) == expected
