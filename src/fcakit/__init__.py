@@ -34,9 +34,7 @@ from .charsets import (
 from .lattice import ConceptLattice, build_lattice, distributivity, linearity
 from .descriptions import (
     DescriptionRow,
-    build_descriptions_context,
     export_description_lattice_context,
-    group_descriptions,
     summarize_descriptions,
 )
 from .randomize import (
@@ -61,7 +59,6 @@ __all__ = [
     "POWERSET_SCAN_LIMIT",
     "Strategy",
     "TrialSummary",
-    "build_descriptions_context",
     "build_lattice",
     "clarify_rows",
     "closure",
@@ -76,7 +73,6 @@ __all__ = [
     "enumerate_pseudo_intents",
     "export_description_lattice_context",
     "extent",
-    "group_descriptions",
     "implication_closure",
     "index_classes",
     "intent_of",

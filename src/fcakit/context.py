@@ -4,12 +4,14 @@ A context couples a list of objects with a list of attributes through a
 binary incidence relation.  Attribute sets and object sets are plain Python
 ints used as bitsets: bit ``j`` of an attribute mask corresponds to
 ``attribute_names[j]``, bit ``g`` of an object mask to ``object_names[g]``.
-Arbitrary-precision ints make the set algebra exact for any width; anything
-that walks the full power set of attributes is guarded by
-``POWERSET_SCAN_LIMIT``.
+Arbitrary-precision ints make the set algebra exact for any width; the
+descriptions table, which accounts for every subset of the attributes, is
+refused above ``POWERSET_SCAN_LIMIT`` attributes.
 
 The canonical ("lectic") order used throughout treats the first attribute as
 most significant: a mask's rank is its bit-reversal within the context width.
+``lectic_sorted`` sorts Python ints by that rank, ``lectic_order`` sorts
+``uint64`` word arrays through a byte table.
 """
 
 from __future__ import annotations
@@ -45,16 +47,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _build_rev16() -> list[int]:
-    rev = [0] * (1 << 16)
-    for i in range(1, 1 << 16):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << 15)
-    return rev
-
-
-_REV16 = _build_rev16()
-
-
 def bit_reverse(value: int, width: int) -> int:
     """Reverse the low ``width`` bits of ``value``.
 
@@ -64,15 +56,7 @@ def bit_reverse(value: int, width: int) -> int:
     """
     if value >> width:
         raise ValueError(f"value has bits above width {width}")
-    out = 0
-    remaining = width
-    while remaining >= 16:
-        out = (out << 16) | _REV16[value & 0xFFFF]
-        value >>= 16
-        remaining -= 16
-    if remaining:
-        out = (out << remaining) | (_REV16[value & 0xFFFF] >> (16 - remaining))
-    return out
+    return int(f"{value:0{width}b}"[::-1], 2)
 
 
 def lectic_sorted(masks: Iterable[int], width: int) -> list[int]:
@@ -80,7 +64,7 @@ def lectic_sorted(masks: Iterable[int], width: int) -> list[int]:
 
 
 # _REV8[b] is the byte b with its eight bits in reverse order.
-_REV8 = np.array([_REV16[b] >> 8 for b in range(256)], dtype=np.uint8)
+_REV8 = np.array([bit_reverse(b, 8) for b in range(256)], dtype=np.uint8)
 
 
 def lectic_order(words: np.ndarray) -> np.ndarray:
@@ -95,25 +79,6 @@ def lectic_order(words: np.ndarray) -> np.ndarray:
     """
     rev = _REV8[np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)]
     return np.argsort(rev.view(np.uint64).byteswap(), kind="stable")
-
-
-def iter_lectic_masks(width: int) -> Iterator[int]:
-    """Yield every subset of a ``width``-attribute set in lectic order."""
-    if width > POWERSET_SCAN_LIMIT:
-        raise CapacityError(
-            f"power-set scan over {width} attributes exceeds the "
-            f"{POWERSET_SCAN_LIMIT}-attribute limit"
-        )
-    rev = _REV16
-    if width <= 16:
-        shift = 16 - width
-        for r in range(1 << width):
-            yield rev[r] >> shift
-    else:
-        lo_shift = width - 16
-        hi_shift = 32 - width
-        for r in range(1 << width):
-            yield (rev[r & 0xFFFF] << lo_shift) | (rev[r >> 16] >> hi_shift)
 
 
 @dataclass(frozen=True)
@@ -200,7 +165,10 @@ class FormalContext:
     def objs_mask(self, names: Iterable[str]) -> ObjSet:
         mask = 0
         for name in names:
-            mask |= 1 << self.object_names.index(name)
+            try:
+                mask |= 1 << self.object_names.index(name)
+            except ValueError:
+                raise KeyError(name) from None
         return mask
 
     def obj_names(self, mask: ObjSet) -> tuple[str, ...]:

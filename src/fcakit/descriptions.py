@@ -1,14 +1,14 @@
-"""The descriptions context: classify every attribute subset, group, export.
+"""The descriptions table: every attribute subset grouped by its class flags.
 
-Every subset of the attribute set ("description") is classified against the
-characteristic families of the context, giving a derived context whose
-objects are the 2^|M| descriptions and whose attributes are the class flags.
-Identical flag combinations are grouped with multiplicities; the grouped
-rows can be exported as a CSV table or re-encoded as a small formal context
-whose lattice shows how the families overlap.
+Every subset of the attribute set ("description") belongs to some of the
+characteristic families of the context.  ``summarize_descriptions`` groups
+the 2^|M| descriptions by their flag combination, with multiplicities; the
+grouped rows can be exported as a CSV table or re-encoded as a small formal
+context whose lattice shows how the families overlap.
 
-The overwhelming "generator only" bulk is never materialized: grouping works
-from the (tiny) flagged families plus one subtraction.
+The power set is never walked: the flagged subsets are the members of the
+(small) intent, pseudo-intent and key families, and the "generator only"
+bulk is the rest, one subtraction.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .charsets import CharFlags, ClassIndex, index_classes
-from .context import (
-    AttrSet,
-    CapacityError,
-    FormalContext,
-    POWERSET_SCAN_LIMIT,
-    iter_lectic_masks,
-)
+from .charsets import CharFlags, index_classes
+from .context import CapacityError, FormalContext, POWERSET_SCAN_LIMIT
 
 # Column labels of the grouped table, aliases included.  The alias triples
 # (closed descr = intent, minimal gen = key, minimum gen = passkey) are kept
@@ -71,21 +65,13 @@ def flags_pattern(flags: CharFlags) -> tuple[bool, ...]:
     )
 
 
-def _pattern_rank(flags: CharFlags) -> int:
-    rank = 0
-    for present in flags_pattern(flags):
-        rank = (rank << 1) | int(present)
-    return rank
+def summarize_descriptions(ctx: FormalContext) -> list[DescriptionRow]:
+    """One row per distinct flag combination of the subsets of ``ctx``.
 
-
-def _flag_lookup(
-    ctx: FormalContext, index: ClassIndex | None = None
-) -> tuple[dict[int, CharFlags], CharFlags]:
-    """Mask -> flags for every flagged subset, plus the generator-only default.
-
-    Refuses contexts too wide for a power-set scan.  Flag instances are
-    interned per combination so that streaming 2^|M| records allocates
-    nothing per record.
+    Rows are ordered by descending column pattern (generator column most
+    significant), which puts the fully flagged combinations first and the
+    generator-only bulk last.  Contexts too wide for a power-set table are
+    refused before any family is computed.
     """
     n = ctx.n_attrs
     if n > POWERSET_SCAN_LIMIT:
@@ -93,77 +79,22 @@ def _flag_lookup(
             f"descriptions context over {n} attributes exceeds the "
             f"{POWERSET_SCAN_LIMIT}-attribute limit"
         )
-    if index is None:
-        index = index_classes(ctx)
+    index = index_classes(ctx)
     intents = set(index.intents)
     pseudo = set(index.pseudo_intents)
     keys = set(index.keys)
     passkeys = set(index.passkeys)
     proper = set(index.proper_premises)
-    interned: dict[tuple[bool, ...], CharFlags] = {}
-    lookup: dict[int, CharFlags] = {}
-    for mask in intents | pseudo | keys:
-        combo = (
-            mask in intents,
-            mask in pseudo,
-            mask in keys,
-            mask in passkeys,
-            mask in proper,
-        )
-        flags = interned.get(combo)
-        if flags is None:
-            flags = CharFlags(
-                is_intent=combo[0],
-                is_pseudo_intent=combo[1],
-                is_key=combo[2],
-                is_passkey=combo[3],
-                is_proper_premise=combo[4],
-            )
-            interned[combo] = flags
-        lookup[mask] = flags
-    return lookup, CharFlags()
-
-
-def build_descriptions_context(
-    ctx: FormalContext, index: ClassIndex | None = None
-) -> Iterator[tuple[AttrSet, CharFlags]]:
-    """Stream one classified record per attribute subset, in lectic order."""
-    lookup, default = _flag_lookup(ctx, index)
-    get = lookup.get
-    for mask in iter_lectic_masks(ctx.n_attrs):
-        yield mask, get(mask, default)
-
-
-def group_descriptions(
-    records: Iterable[tuple[AttrSet, CharFlags]]
-) -> list[DescriptionRow]:
-    """Reduce a description stream to rows of distinct flag combinations.
-
-    Rows are ordered by descending column pattern (generator column most
-    significant), ties by descending count, which puts the fully-flagged
-    combinations first and the generator-only bulk last.
-    """
-    counts: Counter[CharFlags] = Counter()
-    for _, flags in records:
-        counts[flags] += 1
-    rows = [DescriptionRow(flags, count) for flags, count in counts.items()]
-    rows.sort(key=lambda r: (_pattern_rank(r.flags), r.count), reverse=True)
-    return rows
-
-
-def summarize_descriptions(ctx: FormalContext) -> list[DescriptionRow]:
-    """Grouped description rows without walking the power set.
-
-    Equivalent to ``group_descriptions(build_descriptions_context(ctx))``:
-    only flagged subsets are touched, the generator-only bulk is a count.
-    """
-    lookup, default = _flag_lookup(ctx)
-    counts: Counter[CharFlags] = Counter(lookup.values())
-    bulk = (1 << ctx.n_attrs) - len(lookup)
+    flagged = intents | pseudo | keys
+    combos = Counter(
+        (m in intents, m in pseudo, m in keys, m in passkeys, m in proper)
+        for m in flagged
+    )
+    rows = [DescriptionRow(CharFlags(*combo), count) for combo, count in combos.items()]
+    bulk = (1 << n) - len(flagged)
     if bulk:
-        counts[default] += bulk
-    rows = [DescriptionRow(flags, count) for flags, count in counts.items()]
-    rows.sort(key=lambda r: (_pattern_rank(r.flags), r.count), reverse=True)
+        rows.append(DescriptionRow(CharFlags(), bulk))
+    rows.sort(key=lambda r: flags_pattern(r.flags), reverse=True)
     return rows
 
 

@@ -4,14 +4,16 @@ Test machinery, not library code: each family is decided by quantifying its
 defining condition over the power set, independently of the fast
 enumerations in ``fcakit.charsets``.  ``classify`` and ``is_proper_premise``
 decide the flags of one subset from the definitions, through ``closure``
-and ``extent``.
+and ``extent``.  ``build_descriptions_context`` and ``group_descriptions``
+walk the whole power set, the twin of ``summarize_descriptions``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import Counter
+from typing import Iterable, Iterator
 
-from fcakit.charsets import CharFlags, min_key_sizes
+from fcakit.charsets import CharFlags, ClassIndex, index_classes, min_key_sizes
 from fcakit.context import (
     AttrSet,
     CapacityError,
@@ -21,9 +23,9 @@ from fcakit.context import (
     closure,
     extent,
     iter_bits,
-    iter_lectic_masks,
     lectic_sorted,
 )
+from fcakit.descriptions import DescriptionRow, flags_pattern
 
 BRUTE_FORCE_CLASSES = (
     "generator",
@@ -35,20 +37,25 @@ BRUTE_FORCE_CLASSES = (
 )
 
 
+def iter_lectic_masks(width: int) -> Iterator[int]:
+    """Yield every subset of a ``width``-attribute set in lectic order."""
+    if width > POWERSET_SCAN_LIMIT:
+        raise CapacityError(
+            f"power-set scan over {width} attributes exceeds the "
+            f"{POWERSET_SCAN_LIMIT}-attribute limit"
+        )
+    yield from lectic_sorted(range(1 << width), width)
+
+
 def _powerset_tables(ctx: FormalContext) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Extent and closure of every subset, by one dynamic-programming pass."""
     n = ctx.n_attrs
-    if n > POWERSET_SCAN_LIMIT:
-        raise CapacityError(
-            f"brute-force scan over {n} attributes exceeds the "
-            f"{POWERSET_SCAN_LIMIT}-attribute limit"
-        )
+    masks = list(iter_lectic_masks(n))
     cols = ctx.columns
     ext: dict[int, int] = {0: ctx.object_universe}
     for mask in range(1, 1 << n):
         low = mask & -mask
         ext[mask] = ext[mask ^ low] & cols[low.bit_length() - 1]
-    masks = list(iter_lectic_masks(n))
     cl: dict[int, int] = {}
     for mask in masks:
         e = ext[mask]
@@ -168,3 +175,34 @@ def classify(
         is_passkey=is_passkey,
         is_proper_premise=is_proper_premise(ctx, attrs),
     )
+
+
+def build_descriptions_context(
+    ctx: FormalContext, index: ClassIndex | None = None
+) -> Iterator[tuple[AttrSet, CharFlags]]:
+    """One classified record per attribute subset, in lectic order.
+
+    Each subset's flags are its memberships in the families of ``index``.
+    """
+    masks = list(iter_lectic_masks(ctx.n_attrs))
+    if index is None:
+        index = index_classes(ctx)
+    families = (
+        set(index.intents),
+        set(index.pseudo_intents),
+        set(index.keys),
+        set(index.passkeys),
+        set(index.proper_premises),
+    )
+    for mask in masks:
+        yield mask, CharFlags(*(mask in family for family in families))
+
+
+def group_descriptions(
+    records: Iterable[tuple[AttrSet, CharFlags]]
+) -> list[DescriptionRow]:
+    """Rows of distinct flag combinations, by descending column pattern."""
+    counts = Counter(flags for _, flags in records)
+    rows = [DescriptionRow(flags, count) for flags, count in counts.items()]
+    rows.sort(key=lambda r: flags_pattern(r.flags), reverse=True)
+    return rows

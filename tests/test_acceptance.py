@@ -27,8 +27,6 @@ from fcakit import (
     enumerate_proper_premises,
     enumerate_pseudo_intents,
     export_description_lattice_context,
-    group_descriptions,
-    build_descriptions_context,
     implication_closure,
     linearity,
     run_trials,
@@ -45,7 +43,12 @@ from conftest import (
     staircase_context,
     toy_context,
 )
-from oracles import brute_force_all, classify
+from oracles import (
+    brute_force_all,
+    build_descriptions_context,
+    classify,
+    group_descriptions,
+)
 
 # Shared fuzz corpus for criteria 3-6: 200 deterministic random contexts,
 # most of them at substantial size, a tail of degenerate shapes.

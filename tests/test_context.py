@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -26,12 +27,12 @@ from fcakit.context import (
     POWERSET_SCAN_LIMIT,
     bit_reverse,
     iter_bits,
-    iter_lectic_masks,
     lectic_order,
     lectic_sorted,
 )
 
 from conftest import DATA_DIR, contexts, ctx_of
+from oracles import iter_lectic_masks
 
 
 class TestFormalContext:
@@ -65,6 +66,12 @@ class TestFormalContext:
         assert toy.obj_names(objs) == ("g2", "g4")
         with pytest.raises(KeyError):
             toy.attr_index("z")
+
+    def test_unknown_names_raise_key_error(self, toy):
+        with pytest.raises(KeyError, match="z"):
+            toy.attrs_mask(["a", "z"])
+        with pytest.raises(KeyError, match="g9"):
+            toy.objs_mask(["g1", "g9"])
 
     def test_equality_ignores_meta(self, toy):
         other = FormalContext(
@@ -265,17 +272,39 @@ class TestWideContexts:
         assert intents[-1] == ctx.attribute_universe
 
 
+def sample_masks(width: int) -> list[int]:
+    """The empty and full masks, the first and last attribute, and 300 random masks."""
+    rnd = random.Random(width)
+    full = (1 << width) - 1
+    masks = {0, full, 1 & full, 1 << max(width - 1, 0) & full}
+    masks.update(rnd.getrandbits(width) if width else 0 for _ in range(300))
+    return list(masks)
+
+
 class TestLecticOrder:
     def test_bit_reverse_involution(self):
         for width in (0, 1, 5, 17, 25):
             for value in range(min(1 << width, 64)):
                 assert bit_reverse(bit_reverse(value, width), width) == value
 
-    def test_bit_reverse_matches_string_reversal(self):
-        for width in (3, 9, 20):
-            for value in (0, 1, (1 << width) - 1, 0b101 % (1 << width)):
-                expected = int(format(value, f"0{width}b")[::-1], 2)
-                assert bit_reverse(value, width) == expected
+    def test_bit_reverse_refuses_bits_above_width(self):
+        with pytest.raises(ValueError, match="above width 3"):
+            bit_reverse(0b1000, 3)
+        with pytest.raises(ValueError):
+            bit_reverse(1, 0)
+
+    def test_lectic_sorted_matches_comparator(self):
+        # a precedes b when the first attribute on which they differ is in b
+        def lectic_cmp(a, b):
+            diff = a ^ b
+            if not diff:
+                return 0
+            return -1 if b & diff & -diff else 1
+
+        for width in (0, 1, 63, 64, 65, 70, 130):
+            masks = sample_masks(width)
+            expected = sorted(masks, key=cmp_to_key(lectic_cmp))
+            assert lectic_sorted(masks, width) == expected, width
 
     def test_iter_lectic_masks_is_lectic(self):
         masks = list(iter_lectic_masks(5))
@@ -300,11 +329,7 @@ class TestLecticOrder:
 
     @pytest.mark.parametrize("width", [0, 1, 8, 63, 64])
     def test_word_order_matches_lectic_sorted(self, width):
-        rnd = random.Random(width)
-        full = (1 << width) - 1
-        masks = {0, full, 1 & full, 1 << max(width - 1, 0) & full}
-        masks.update(rnd.getrandbits(width) if width else 0 for _ in range(300))
-        masks = list(masks)
+        masks = sample_masks(width)
         words = np.array(masks, dtype=np.uint64)
         assert words[lectic_order(words)].tolist() == lectic_sorted(masks, width)
         assert lectic_order(words[:0]).tolist() == []

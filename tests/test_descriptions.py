@@ -1,4 +1,4 @@
-"""Descriptions context: streaming classification, grouping, exports."""
+"""Descriptions table: grouping, its power-set twin, exports."""
 
 from __future__ import annotations
 
@@ -11,12 +11,11 @@ from fcakit import (
     CapacityError,
     CharFlags,
     FormalContext,
-    build_descriptions_context,
     enumerate_intents,
     export_description_lattice_context,
-    group_descriptions,
     summarize_descriptions,
 )
+from fcakit import descriptions
 from fcakit.context import bit_reverse
 from fcakit.descriptions import (
     DescriptionRow,
@@ -31,7 +30,7 @@ from conftest import (
     nominal_context,
     toy_context,
 )
-from oracles import brute_force_all
+from oracles import brute_force_all, build_descriptions_context, group_descriptions
 
 
 class TestStream:
@@ -94,8 +93,14 @@ class TestStream:
         )
         assert by_mask[1] == CharFlags(is_intent=True)
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        def index_classes(ctx):
+            raise AssertionError("a family was computed before the refusal")
+
+        monkeypatch.setattr(descriptions, "index_classes", index_classes)
         wide = FormalContext((), tuple(f"m{i}" for i in range(26)), ())
+        with pytest.raises(CapacityError, match="26 attributes"):
+            summarize_descriptions(wide)
         with pytest.raises(CapacityError):
             next(build_descriptions_context(wide))
 
