@@ -26,6 +26,7 @@ The brute-force oracles and the one-subset ``classify`` live in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -583,10 +584,7 @@ class ClassIndex:
 
     def sizes(self, family: str) -> dict[int, int]:
         """Member count per element size of the family named ``family``."""
-        out: dict[int, int] = {}
-        for mask in getattr(self, family):
-            out[mask.bit_count()] = out.get(mask.bit_count(), 0) + 1
-        return out
+        return Counter(mask.bit_count() for mask in getattr(self, family))
 
 
 def index_classes(ctx: FormalContext) -> ClassIndex:

@@ -253,8 +253,8 @@ def _cmd_randomize(args: argparse.Namespace) -> int:
         raise InputError(f"unknown metrics: {unknown}")
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
-    if args.seed < 0:
-        raise InputError("--seed must be non-negative")
+    if not 0 <= args.seed < 1 << 64:
+        raise InputError("--seed must lie in 0..2^64-1")
     ctx = _load_context(args.input, args.format, args.max_attrs)
     report = build_randomization_report(
         ctx,

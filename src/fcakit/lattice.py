@@ -14,21 +14,25 @@ that they read as probabilities; the raw pair counts are exposed separately
 for anyone wanting a different normalization.
 
 Masks of up to 64 bits are counted on one ``uint64`` array ordered by
-attribute count.  The comparable count always tests every pair, in 2-D
-blocks.  The union count has two exact paths, picked from the attribute
-counts alone:
+attribute count.  Both counts have two exact paths, and one rule
+(`_cubes_pay`), read from the attribute counts alone, picks the same path
+for both:
 
-* the cube count (`_cube_union_closed_pairs`) lists the 2^|C| subsets of
-  each intent C other than the top and counts the pairs uniting to C by a
-  subset-sum (zeta) transform and a Moebius inversion over that cube
-  (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier meets Moebius: fast
-  subset convolution", STOC 2007).  It runs when every such C has at most
-  15 attributes and its cells, each charged as 16 pairs, still come to
+* the cube counts list the 2^|C| subsets of each intent C other than the
+  top and mark the intents among them (`_cube_members`).  The comparable
+  count sums the marks: f(C), the number of intents inside C, gives
+  f(C) - 1 pairs.  The union count (`_cube_union_closed_pairs`) counts the
+  pairs uniting to C by a subset-sum (zeta) transform and a Moebius
+  inversion over that cube (Bjorklund, Husfeldt, Kaski & Koivisto,
+  "Fourier meets Moebius: fast subset convolution", STOC 2007).  They run
+  when every such C has at most 17 attributes, a memory bound of 2^17
+  cells per cube, and the cells, each charged as 16 pairs, still come to
   fewer than the pairs, as on lattices of many small intents;
-* the blocked pair pass (`_pair_union_closed_pairs`) tests every pair's
-  union against the family.  Its cost depends on n alone, so it stays for
-  chain-like and dense lattices, whose large intents have cubes far bigger
-  than the pair triangle, and as the twin the tests compare the cubes with.
+* the blocked pair passes (`_pair_comparable_pairs`,
+  `_pair_union_closed_pairs`) test every pair in 2-D blocks.  Their cost
+  depends on n alone, so they stay for chain-like and dense lattices, whose
+  large intents have cubes far bigger than the pair triangle, and as the
+  twins the tests compare the cubes with.
 
 Wider masks take pure-Python pair loops.
 """
@@ -56,14 +60,18 @@ _BLOCK_PAIRS = 1 << 15
 # go to a small sorted `lost` array.
 _FILTER_BITS = 18
 _FIB_MULT = np.uint64(0x9E3779B97F4A7C15)
-_FILTER_SHIFT = np.uint64(64 - _FILTER_BITS)
 
-# The cube count of union-closed pairs builds the 2^k subsets of each
-# k-attribute intent other than the top.  It runs only when every such cube
-# fits one block, and when its cells, each charged as _CELL_COST pairs,
-# still come to fewer than the pairs: on 403x40 contexts of 5-7 k intents a
-# cube cell costs about 12 pairs of the blocked pass (40 against 3.4 ns).
-_CUBE_MAX_BITS = _BLOCK_PAIRS.bit_length() - 1
+# The cube counts build the 2^k subsets of each k-attribute intent other
+# than the top.  They run only when no such cube exceeds 2^_CUBE_MAX_BITS
+# cells (its int64 counts take 1 MB), and when its cells, each charged as
+# _CELL_COST pairs, still come to fewer than the pairs: on 403x40 contexts
+# of 5-7 k intents a cube cell costs about 8 pairs of the union pair pass
+# and 20 of the comparable one.  Cubes are built and searched _BLOCK_PAIRS
+# cells at a time, several small cubes to a chunk or one chunk of a large
+# cube, against a member table of at most 2^_TABLE_BITS slots (512 KB).
+_CUBE_MAX_BITS = 17
+_TABLE_BITS = 16
+_CHUNK_BITS = _BLOCK_PAIRS.bit_length() - 1
 _CELL_COST = 16
 _POPCOUNT8 = np.array([b.bit_count() for b in range(256)], dtype=np.int64)
 
@@ -155,21 +163,21 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
 
 def count_comparable_pairs(lat: ConceptLattice) -> int:
-    """Unordered pairs of distinct intents where one contains the other."""
+    """Unordered pairs of distinct intents where one contains the other.
+
+    Masks of up to 64 bits take the cube count when ``_cubes_pay`` says so,
+    else the blocked pair pass; wider ones the pure-Python pair loop.
+    """
     masks = lat.intents
     n = len(masks)
     if n <= 1:
         return 0
     words = lat._words
     if words is not None:
-        total = 0
-        for i0, i1, keep in _row_blocks(n):
-            rows = words[i0:i1, None]
-            # Ordered by size, a row can only be a subset of a later column.
-            hit = (rows & words[None, i0 + 1 :]) == rows
-            hit[:, : i1 - i0 - 1] &= keep
-            total += int(np.count_nonzero(hit))
-        return total
+        sizes = _popcounts(words)
+        if _cubes_pay(words, sizes):
+            return _cube_comparable_pairs(words, sizes)
+        return _pair_comparable_pairs(words)
     total = 0
     for i in range(n - 1):
         a = masks[i]
@@ -180,11 +188,41 @@ def count_comparable_pairs(lat: ConceptLattice) -> int:
     return total
 
 
-def _slots(words: np.ndarray) -> np.ndarray:
-    """Filter slot of each mask, as indices (array-by-scalar uint64 products
-    wrap silently, as the hash needs; slots fit any index type)."""
+def _pair_comparable_pairs(words: np.ndarray) -> int:
+    """The comparable count over every pair, in blocks (any family of
+    distinct masks ordered by attribute count)."""
+    total = 0
+    for i0, i1, keep in _row_blocks(len(words)):
+        rows = words[i0:i1, None]
+        # Ordered by size, a row can only be a subset of a later column.
+        hit = (rows & words[None, i0 + 1 :]) == rows
+        hit[:, : i1 - i0 - 1] &= keep
+        total += int(np.count_nonzero(hit))
+    return total
+
+
+def _cube_comparable_pairs(words: np.ndarray, sizes: np.ndarray) -> int:
+    """The comparable count from the subset cube of each member.
+
+    Exact for any family of distinct masks ordered by their attribute counts
+    ``sizes``.  A member C other than the top contains f(C) - 1 others,
+    f(C) being the members marked in its cube; the top, when a member,
+    contains the other n - 1.
+    """
+    n = len(words)
+    _, b, _ = _top_split(words, sizes)
+    total = n - 1 if b < n else 0
+    for _, marks in _cube_members(words[:b], sizes[:b]):
+        total += int(np.count_nonzero(marks)) - len(marks)
+    return total
+
+
+def _slots(words: np.ndarray, bits: int = _FILTER_BITS) -> np.ndarray:
+    """Slot of each mask in a table of 2^bits, as indices (array-by-scalar
+    uint64 products wrap silently, as the hash needs; slots fit any index
+    type)."""
     slot = words * _FIB_MULT
-    slot >>= _FILTER_SHIFT
+    slot >>= np.uint64(64 - bits)
     return slot.view(np.int64)
 
 
@@ -211,13 +249,13 @@ def _top_split(words: np.ndarray, sizes: np.ndarray) -> tuple[np.uint64, int, in
 
 
 def _cubes_pay(words: np.ndarray, sizes: np.ndarray) -> bool:
-    """Whether the cube count should replace the pair pass.
+    """Whether the cube counts should replace the pair passes.
 
-    Every mask other than the top must fit one block as a cube
-    (``_CUBE_MAX_BITS``), and ``_CELL_COST`` times the cube cells plus the
-    cells of the H pass must not exceed the n(n-1)/2 pairs.  Only the
-    attribute counts are read, so a chain of wide intents is turned down
-    before any cube is built.
+    No mask other than the top may have more than ``_CUBE_MAX_BITS``
+    attributes, and ``_CELL_COST`` times the cube cells plus the cells of
+    the H pass must not exceed the n(n-1)/2 pairs.  Only the attribute
+    counts are read, so a chain of wide intents is turned down before any
+    cube is built.
     """
     n = len(words)
     _, b, h = _top_split(words, sizes)
@@ -227,17 +265,65 @@ def _cubes_pay(words: np.ndarray, sizes: np.ndarray) -> bool:
     return _CELL_COST * (cells + (b - h) * n) <= n * (n - 1) // 2
 
 
-def _subset_cubes(rows: np.ndarray, k: int) -> np.ndarray:
-    """The ``(len(rows), 2^k)`` subsets of masks of ``k`` attributes each:
-    cell ``s`` of a row holds the attributes of that row whose rank, from
-    the lowest, is a set bit of ``s``."""
+def _subset_cubes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(cube, rest)`` for masks of at least ``k`` attributes each.
+
+    ``cube`` holds the ``(len(rows), 2^k)`` subsets of the lowest ``k``
+    attributes of each row: cell ``s`` holds those whose rank, from the
+    lowest, is a set bit of ``s``.  ``rest`` holds the other attributes.
+    """
     cube = np.zeros((len(rows), 1 << k), dtype=np.uint64)
     rest = rows.copy()
     for j in range(k):
         low = rest & ~(rest - np.uint64(1))
         rest ^= low
         np.bitwise_or(cube[:, : 1 << j], low[:, None], out=cube[:, 1 << j : 2 << j])
-    return cube
+    return cube, rest
+
+
+def _cube_members(
+    words: np.ndarray, sizes: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The subset cubes of a family, its members marked, in blocks.
+
+    ``words`` are distinct masks ordered by their attribute counts
+    ``sizes``.  Yields ``(k, marks)`` for each block of k-attribute masks:
+    ``marks[r, s]`` is whether cell ``s`` of the cube of row ``r`` (as laid
+    out by `_subset_cubes`) is a member.  A block holds at most
+    ``_BLOCK_PAIRS`` cells, or one larger cube.  Cells are built and
+    searched ``_BLOCK_PAIRS`` at a time: a larger cube is the lowest 15
+    attributes' cube united with each subset of the others in turn, so only
+    its marks are held at full size.
+
+    A cell is found in a hashed table of about 8 slots per member (at most
+    2^_TABLE_BITS).  Every slot holds a member, so a cell equal to its
+    slot's entry is one; the members displaced from their slot by another
+    are searched in the sorted ``lost`` array.
+    """
+    bits = min(_TABLE_BITS, (8 * len(words)).bit_length())
+    slots = _slots(words, bits)
+    table = np.full(1 << bits, words[0])
+    table[slots] = words
+    lost = np.sort(words[table[slots] != words])
+    for k in range(int(sizes[-1]) + 1):
+        lo, hi = np.searchsorted(sizes, (k, k + 1))
+        low_bits = min(k, _CHUNK_BITS)
+        step = max(1, _BLOCK_PAIRS >> k)
+        for r0 in range(lo, hi, step):
+            rows = words[r0 : min(hi, r0 + step)]
+            low, rest = _subset_cubes(rows, low_bits)
+            high, _ = _subset_cubes(rest, k - low_bits)
+            marks = np.empty((len(rows), 1 << k), dtype=bool)
+            for c in range(1 << (k - low_bits)):
+                cells = low | high[:, c, None] if c else low
+                found = marks[:, c << low_bits : (c + 1) << low_bits]
+                np.equal(table[_slots(cells, bits)], cells, out=found)
+                if lost.size:
+                    missed = ~found
+                    cells = cells[missed]
+                    pos = np.searchsorted(lost, cells)
+                    found[missed] = lost.take(pos, mode="clip") == cells
+            yield k, marks
 
 
 def _moebius_signs(k: int) -> np.ndarray:
@@ -253,18 +339,18 @@ def _cube_union_closed_pairs(words: np.ndarray, sizes: np.ndarray) -> int:
 
     Exact for any family of distinct masks ordered by their attribute
     counts ``sizes``; a k-attribute member other than the top costs 2^k
-    cells, built in blocks of at most ``_BLOCK_PAIRS`` cells (one cube per
-    block above 15 attributes).
+    cells, marked by `_cube_members`.
 
     Every pair uniting to a member C other than the top lies inside C.  Over
-    the cube of C, f(T) is the number of members inside T: membership found
-    by binary search, then summed over subsets by one in-place zeta pass per
-    attribute.  f(T)^2 counts the ordered pairs whose union lies inside T,
-    so the Moebius inversion at C, ``g(C) = sum over T of (-1)^|C - T|
-    f(T)^2``, counts the ordered pairs whose union is exactly C, one of them
-    (C, C); C adds (g(C) - 1) / 2.  Below 16 attributes f(T) is at most
-    2^15, so a block's sum of at most 2^15 squares stays under 2^45, far
-    inside ``int64``.
+    the cube of C, f(T) is the number of members inside T: the marks,
+    summed over subsets by one in-place zeta pass per attribute.  f(T)^2
+    counts the ordered pairs whose union lies inside T, so the Moebius
+    inversion at C, ``g(C) = sum over T of (-1)^|C - T| f(T)^2``, counts
+    the ordered pairs whose union is exactly C, one of them (C, C); C adds
+    (g(C) - 1) / 2.  With k attributes f(T) is at most min(2^k, n), so one
+    cube sums to at most 2^k * 2^(2k) = 2^(3k) <= 2^51 (k <= 17), and a
+    block of 2^15 cells of cubes of at most 15 attributes to at most 2^45,
+    both inside ``int64``.
 
     The top, when a member, unites with each of the other n - 1.  Two other
     members that unite to it include one of the set H (`_top_split`), so one
@@ -273,21 +359,17 @@ def _cube_union_closed_pairs(words: np.ndarray, sizes: np.ndarray) -> int:
     """
     n = len(words)
     top, b, h = _top_split(words, sizes)
-    members = np.sort(words)
     ordered = 0
-    for k in range(int(sizes[b - 1]) + 1):
-        lo, hi = np.searchsorted(sizes[:b], (k, k + 1))
-        step = max(1, _BLOCK_PAIRS >> k)
-        signs = _moebius_signs(k)
-        for r0 in range(lo, hi, step):
-            cube = _subset_cubes(words[r0 : min(hi, r0 + step)], k)
-            pos = np.searchsorted(members, cube)
-            f = (members.take(pos, mode="clip") == cube).astype(np.int64)
-            for j in range(k):
-                cells = f.reshape(len(f), -1, 2, 1 << j)
-                cells[:, :, 1] += cells[:, :, 0]
-            f *= f
-            ordered += int(np.sum(f @ signs))
+    signs = _moebius_signs(0)
+    for k, marks in _cube_members(words[:b], sizes[:b]):
+        f = marks.astype(np.int64)
+        for j in range(k):
+            cells = f.reshape(len(f), -1, 2, 1 << j)
+            cells[:, :, 1] += cells[:, :, 0]
+        f *= f
+        if len(signs) != 1 << k:
+            signs = _moebius_signs(k)
+        ordered += int(np.sum(f @ signs))
     total = (ordered - b) // 2
     if b < n:
         total += n - 1

@@ -313,6 +313,7 @@ class TestExitCodes:
             ("--max-attrs", "-1"),
             ("--metrics", "intent-count,bogus"),
             ("--seed", "-1"),
+            ("--seed", "18446744073709551616"),
         ],
     )
     def test_bad_option_values_are_input_errors(self, capsys, tmp_path, flags):
@@ -321,6 +322,13 @@ class TestExitCodes:
         code = main(["randomize", str(path), "--strategy", "column", *flags])
         assert code == 2
         assert "fcakit: input error:" in capsys.readouterr().err
+
+    def test_largest_u64_seed_accepted(self, capsys):
+        report = run_json(
+            capsys, "randomize", str(TOY_CXT), "--strategy", "column",
+            "--trials", "1", "--seed", str((1 << 64) - 1),
+        )
+        assert report["seed"] == (1 << 64) - 1
 
     @pytest.mark.parametrize("listed", [",", " , ,", ""])
     def test_metric_list_naming_no_metric(self, capsys, tmp_path, listed):

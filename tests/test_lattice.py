@@ -19,8 +19,10 @@ from fcakit import (
 )
 from fcakit.context import lectic_sorted
 from fcakit.lattice import (
+    _cube_comparable_pairs,
     _cube_union_closed_pairs,
     _cubes_pay,
+    _pair_comparable_pairs,
     _pair_union_closed_pairs,
     _popcounts,
     count_comparable_pairs,
@@ -59,6 +61,16 @@ def pair_pass(lat) -> int:
 def cube_count(lat) -> int:
     """The cube union count, whichever path the size rule picks."""
     return _cube_union_closed_pairs(lat._words, _popcounts(lat._words))
+
+
+def comparable_pair_pass(lat) -> int:
+    """The blocked comparable pair pass, whichever path the size rule picks."""
+    return _pair_comparable_pairs(lat._words)
+
+
+def comparable_cube_count(lat) -> int:
+    """The cube comparable count, whichever path the size rule picks."""
+    return _cube_comparable_pairs(lat._words, _popcounts(lat._words))
 
 
 def cubes_pay(lat) -> bool:
@@ -217,7 +229,7 @@ class TestVectorizedPath:
         # Two members x, y share a filter slot, so only one of them can sit
         # in the slot table; each is the union of two other members.
         def slot(mask):
-            mult, shift = int(lattice._FIB_MULT), int(lattice._FILTER_SHIFT)
+            mult, shift = int(lattice._FIB_MULT), 64 - lattice._FILTER_BITS
             return (mask * mult) % (1 << 64) >> shift
 
         rnd = random.Random(9)
@@ -251,12 +263,15 @@ class TestVectorizedPath:
 
 
 class TestCubeCount:
-    """The cube union count against the pair pass and the brute count, on
+    """Both cube counts against their pair passes and the brute counts, on
     either side of the size rule."""
 
     @staticmethod
     def check(masks) -> int:
         lat = ConceptLattice(tuple(masks))
+        comparable = brute_comparable(masks)
+        assert comparable_cube_count(lat) == comparable_pair_pass(lat) == comparable
+        assert count_comparable_pairs(lat) == comparable
         expected = brute_union_closed(masks)
         assert cube_count(lat) == pair_pass(lat) == expected
         assert count_union_closed_pairs(lat) == expected
@@ -311,6 +326,21 @@ class TestCubeCount:
             assert max(masks).bit_length() == 64
             self.check(sorted(masks))
 
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_cube_searched_in_chunks(self, k):
+        # A cube above 15 attributes is marked one 2^15-cell chunk at a
+        # time; members inside it use its highest attributes, bit 63 among
+        # them, so every chunk holds some.
+        rnd = random.Random(k)
+        attrs = sorted(rnd.sample(range(63), k - 1) + [63])
+        big = sum(1 << a for a in attrs)
+        masks = {big, (1 << 64) - 1}
+        for _ in range(150):
+            masks.add(sum(1 << a for a in rnd.sample(attrs, rnd.randint(0, 3))))
+        masks |= {big ^ (1 << a) for a in attrs[-3:]}
+        assert sum(1 for m in masks if m & (1 << attrs[15])) > 10
+        self.check(sorted(masks))
+
     @pytest.mark.parametrize(
         "masks",
         [[0, 1], [1, 2], [1, 3], [0, 1 << 63], [3, 5], [1 << 63, (1 << 63) | 1]],
@@ -324,6 +354,8 @@ class TestCubeCount:
         n = len(lat)
         assert n == 1 << k
         assert cube_count(lat) == pair_pass(lat) == n * (n - 1) // 2
+        comparable = brute_comparable(lat.intents)
+        assert comparable_cube_count(lat) == comparable_pair_pass(lat) == comparable
         # The Boolean lattice on k attributes from bit 63 down.
         shifted = [m << (64 - k) for m in lat.intents]
         assert self.check(shifted) == n * (n - 1) // 2
@@ -341,14 +373,36 @@ class TestCubeCount:
             lat = ConceptLattice(tuple(masks))
             assert cubes_pay(lat) is pays
             assert cube_count(lat) == pair_pass(lat) == count_union_closed_pairs(lat)
+            assert (
+                comparable_cube_count(lat)
+                == comparable_pair_pass(lat)
+                == count_comparable_pairs(lat)
+            )
         assert count_union_closed_pairs(ConceptLattice(tuple(boolean))) == (
             len(boolean) * (len(boolean) - 1) // 2
         )
 
-    @pytest.mark.parametrize("k, pays", [(15, True), (16, False)])
+    def test_paying_lattice_tests_no_pair(self, monkeypatch):
+        # Where the cubes pay, both counts take them: no pair block is cut.
+        rnd = random.Random(41)
+        masks = {sum(1 << a for a in rnd.sample(range(40), rnd.randint(0, 4)))
+                 for _ in range(3000)}
+        masks.add((1 << 40) - 1)
+        lat = ConceptLattice(tuple(sorted(masks)))
+        expected = (comparable_pair_pass(lat), pair_pass(lat))
+
+        def no_pairs(n):
+            raise AssertionError("pair pass on a lattice whose cubes pay")
+
+        monkeypatch.setattr(lattice, "_row_blocks", no_pairs)
+        assert cubes_pay(lat)
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
+
+    @pytest.mark.parametrize("k, pays", [(17, True), (18, False)])
     def test_one_cube_per_block_at_most(self, k, pays):
         # One k-attribute member among thousands of small ones: its 2^k
-        # cells would pay, but above 15 attributes its cube outgrows a block.
+        # cells would pay, but above 17 attributes its cube outgrows the
+        # memory bound.
         rnd = random.Random(k)
         masks = {sum(1 << a for a in rnd.sample(range(40), rnd.randint(1, 4)))
                  for _ in range(5000)}
@@ -357,6 +411,7 @@ class TestCubeCount:
         assert len(lat) > 3000
         assert cubes_pay(lat) is pays
         assert count_union_closed_pairs(lat) == pair_pass(lat)
+        assert count_comparable_pairs(lat) == comparable_pair_pass(lat)
 
     def test_wide_chain_takes_pair_pass(self, monkeypatch):
         # A 60-attribute chain has members of up to 59 attributes: it is
@@ -374,10 +429,11 @@ class TestCubeCount:
         assert peak < 1 << 12  # a 16-attribute cube alone takes 512 KB
 
         def no_cubes(words, sizes):
-            raise AssertionError("cube count on a wide chain")
+            raise AssertionError("cube built for a wide chain")
 
-        monkeypatch.setattr(lattice, "_cube_union_closed_pairs", no_cubes)
+        monkeypatch.setattr(lattice, "_cube_members", no_cubes)
         assert count_union_closed_pairs(lat) == 60 * 59 // 2
+        assert count_comparable_pairs(lat) == 60 * 59 // 2
 
 
 class TestPairBlocks:
