@@ -17,8 +17,9 @@ how the reports and every randomized trial reach the families.  All
 enumeration output is returned in lectic order.
 
 Contexts of up to 64 attributes run on numpy ``uint64`` words: the intent
-enumeration, the basis scan's preclosure (``_WordRules``) and the whole key
-family (``_word_keys``, ``_WordKeys``).  Wider contexts run the same
+enumeration (subset cubes of the object rows, ``_cube_intents``), the basis
+scan's preclosure (``_WordRules``) and the whole key family (``_word_keys``,
+``_WordKeys``).  Wider contexts run the same
 algorithms on Python ints (``_ScalarRules``, ``_scalar_keys``,
 ``_ScalarKeys``), which stay as the differential twins of the word paths.
 The brute-force oracles and the one-subset ``classify`` live in the tests.
@@ -37,17 +38,25 @@ from . import lattice
 from .context import (
     AttrSet,
     FormalContext,
+    LecticWords,
     ObjSet,
     closure,
     intent_of,
     iter_bits,
     lectic_order,
     lectic_sorted,
+    popcounts,
 )
 
 # The word key search builds candidates, and closes keys, in blocks of about
-# this many extent words (256 KB per array), as the lattice pair passes do.
+# this many extent words (256 KB per array), as the lattice pair passes do;
+# the intent cubes and their row traces go in blocks of this many cells.
 _BLOCK_WORDS = 1 << 15
+
+# A row of k attributes up to this bound finds its intents in a subset cube
+# of 2^k uint16 cells (32 KB at the bound): k index bits and a flag bit.
+# Wider rows take the incremental loop.
+_ROW_CUBE_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -84,18 +93,25 @@ class Implication:
 def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     """All closed attribute sets, in lectic order.
 
-    Every intent is the intersection of some subfamily of object rows (the
-    empty subfamily giving the full attribute set), so one incremental pass
-    over the distinct rows collects exactly the closure fixed points.  The
-    family stays closed under intersection after every row: meeting it with
-    a row adds the intersections that take that row in, and only those.  So
-    the result is exactly the set of row intersections plus the universe.
+    Every intent is the intersection of some subfamily of object rows, the
+    empty subfamily giving the full attribute set M.  So every intent X
+    other than M lies inside some row r, and the intents inside r are the
+    intersections of the traces r & g of all rows g, r itself among them.
 
-    Contexts of up to 64 attributes keep the family as a sorted ``uint64``
-    array: each row meets all members at once, the new meets are found by
-    binary search, and a stable sort merges the two sorted runs in linear
-    time; ``lectic_order`` then sorts the result lectically.  Wider
-    contexts use a Python set; both give the same list.
+    Contexts of up to 64 attributes work on ``uint64`` words and return a
+    ``LecticWords`` list, which carries its word array to the lattice.  A
+    distinct row of at most ``_ROW_CUBE_BITS`` attributes finds the intents
+    inside it in its subset cube (`_cube_intents`): cell T of the cube ends
+    up holding the intersection of the traces that contain T, and T is an
+    intent exactly when that is T.  A cell that also lies inside the trace
+    of an earlier such row is skipped, so each intent inside some small row
+    is found once, in the first of them.  The wider rows run the
+    incremental loop (`_incremental_intents`) from {M}, which yields M and
+    every intersection of wide rows; an intent inside no small row is the
+    intersection of the wide rows containing it, so it is among them.  One
+    lectic sort of the two parts then drops the intents found by both.
+    Wider contexts run the incremental loop on a Python set; all paths
+    give the same list.
     """
     n = ctx.n_attrs
     if n > 64:
@@ -103,18 +119,115 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
         for row in ctx.rows:
             family.update([f & row for f in family])
         return lectic_sorted(family, n)
+    rows = np.array(list(dict.fromkeys(ctx.rows)), dtype=np.uint64)
+    sizes = popcounts(rows)
+    order = np.argsort(sizes, kind="stable")
+    rows, sizes = rows[order], sizes[order]
+    small = int(np.searchsorted(sizes, _ROW_CUBE_BITS, side="right"))
+    parts = [_incremental_intents(rows[small:], ctx.attribute_universe)]
+    if small:
+        parts.append(_cube_intents(rows, sizes[:small], n))
+    words = np.concatenate(parts)
+    words = words[lectic_order(words)]
+    distinct = np.ones(len(words), dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=distinct[1:])
+    return LecticWords(words[distinct])
+
+
+def _incremental_intents(rows: np.ndarray, universe: AttrSet) -> np.ndarray:
+    """``universe`` and every intersection of ``rows``, sorted by value.
+
+    The family stays closed under intersection after every row: meeting it
+    with a row adds the intersections that take that row in, and only
+    those.  Each row meets all members at once, the new meets are found by
+    binary search, and a stable sort merges the two sorted runs.
+    """
     # The universe is the largest word and always a member, so every search
     # position below is a valid index.
-    fam = np.array([ctx.attribute_universe], dtype=np.uint64)
-    for row in dict.fromkeys(ctx.rows):
-        cand = np.sort(fam & np.uint64(row))
+    fam = np.array([universe], dtype=np.uint64)
+    for row in rows:
+        cand = np.sort(fam & row)
         distinct = np.ones(len(cand), dtype=bool)
         np.not_equal(cand[1:], cand[:-1], out=distinct[1:])
         cand = cand[distinct]
         new = cand[fam[np.searchsorted(fam, cand)] != cand]
         if len(new):
             fam = np.sort(np.concatenate((fam, new)), kind="stable")
-    return fam[lectic_order(fam)].tolist()
+    return fam
+
+
+def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """The intents inside the small rows, each once, as ``uint64`` masks.
+
+    ``rows`` are the distinct object rows of an ``n``-attribute context
+    ordered by attribute count; the first ``len(sizes)`` of them, of
+    ``sizes`` attributes each, are the small ones.
+
+    A small row r of k attributes numbers its subsets by rank: bit t of a
+    cell index stands for the t-th lowest attribute of r.  The trace of
+    every row g on r is found as such an index from the attribute bit
+    planes (one 0/1 ``uint16`` per row, for each attribute).  The cube of r
+    starts at all ones, and the cell of each trace is set to the trace; the
+    k-th bit of a cell is a flag, cleared in the cells of the traces of the
+    small rows before r.  One AND pass per attribute then leaves in cell T
+    the meet of all cells above it: the intersection of the traces that
+    contain T, and a clear flag when T lies inside an earlier small row.
+    Cell T holds exactly T with its flag set when T is an intent found here
+    first.  Rows of one size go in blocks of about ``_BLOCK_WORDS`` cells,
+    of cubes and of traces alike.
+    """
+    d, small = len(rows), len(sizes)
+    planes = (rows[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    planes = planes.astype(np.uint16)
+    # attrs[r, t] is the t-th lowest attribute of small row r (0 past its size).
+    row_of, attr = np.nonzero(planes[:small])
+    attrs = np.zeros((small, _ROW_CUBE_BITS), dtype=np.intp)
+    rank = np.arange(len(attr)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    attrs[row_of, rank] = attr
+    planes = np.ascontiguousarray(planes.T)
+    found_rows, found_cells = [], []
+    for k in range(int(sizes[-1]) + 1):
+        lo, hi = np.searchsorted(sizes, (k, k + 1))
+        flag = np.uint16(1 << k)
+        closed = np.arange(1 << k, dtype=np.uint16) | flag
+        step = max(1, min(_BLOCK_WORDS >> k, _BLOCK_WORDS // d))
+        for r0 in range(lo, hi, step):
+            r1 = min(hi, r0 + step)
+            trace = np.zeros((r1 - r0, d), dtype=np.uint16)
+            for t in range(k):
+                trace |= planes[attrs[r0:r1, t]] << np.uint16(t)
+            cube = np.full((r1 - r0, 1 << k), (2 << k) - 1, dtype=np.uint16)
+            cells = cube.reshape(-1)
+            at = trace + (np.arange(r1 - r0) << k)[:, None]
+            cells[at] = trace | flag
+            earlier = np.arange(d) < np.arange(r0, r1)[:, None]
+            cells[at[earlier]] = trace[earlier]
+            _superset_meets(cube, k)
+            hit_row, hit_cell = np.nonzero(cube == closed)
+            found_rows.append(hit_row + r0)
+            found_cells.append(hit_cell)
+    row_of = np.concatenate(found_rows)
+    cell = np.concatenate(found_cells)
+    bits = np.left_shift(np.uint64(1), attrs.astype(np.uint64))
+    masks = np.zeros(len(cell), dtype=np.uint64)
+    for t in range(int(sizes[-1])):
+        has = (cell >> t) & 1 == 1
+        masks[has] |= bits[row_of[has], t]
+    return masks
+
+
+def _superset_meets(cube: np.ndarray, k: int) -> None:
+    """In place, AND into each cell of every row of ``cube`` (``2^k``
+    ``uint16`` cells per row) the cells of all its supersets: one pass per
+    attribute, pairing each cell without it with the cell with it.  From
+    the third attribute on, the paired runs are whole ``uint64`` words of
+    four cells."""
+    for j in range(k):
+        if j < 2:
+            halves = cube.reshape(len(cube), -1, 2, 1 << j)
+        else:
+            halves = cube.view(np.uint64).reshape(len(cube), -1, 2, 1 << (j - 2))
+        halves[:, :, 0] &= halves[:, :, 1]
 
 
 class _ScalarRules:
@@ -583,8 +696,18 @@ class ClassIndex:
         return lattice.build_lattice(self.intents)
 
     def sizes(self, family: str) -> dict[int, int]:
-        """Member count per element size of the family named ``family``."""
-        return Counter(mask.bit_count() for mask in getattr(self, family))
+        """Member count per element size of the family named ``family``.
+
+        A family that holds its members' words (the intents) or their sizes
+        (the key family on words) counts them in one ``bincount``."""
+        members = getattr(self, family)
+        if isinstance(members, LecticWords):
+            counts = np.bincount(popcounts(members.words))
+        elif isinstance(members, _WordKeys):
+            counts = np.bincount(members._sizes)
+        else:
+            return Counter(mask.bit_count() for mask in members)
+        return {size: count for size, count in enumerate(counts.tolist()) if count}
 
 
 def index_classes(ctx: FormalContext) -> ClassIndex:

@@ -11,9 +11,10 @@ All JSON reports carry ``schema_version`` and validate against the schema
 shipped at ``fcakit/schemas/report.schema.json``.  Reports are byte-stable
 for fixed inputs, flags, and seed.
 
-Exit codes: 0 ok, 2 input error, 3 capacity exceeded, 4 internal error.
-Input errors are bad files and bad option values, checked here before any
-work starts; any other exception is an internal error.
+Exit codes: 0 ok, 2 input or output error, 3 capacity exceeded, 4 internal
+error.  Input errors are bad files and bad option values, checked here
+before any work starts; output errors are files that cannot be written; any
+other exception is an internal error.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ EXIT_INTERNAL = 4
 
 class InputError(Exception):
     """An option value the command cannot run with."""
+
+
+class OutputError(Exception):
+    """An output file that cannot be written."""
 
 
 def _dataset_block(ctx: FormalContext, name: str) -> dict:
@@ -202,11 +207,18 @@ def _load_context(path: str, fmt: str | None, max_attrs: int | None) -> FormalCo
     return parse_dense_csv(text, max_attrs)
 
 
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(exc) from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
 
 
 def _json_text(report: dict) -> str:
@@ -233,11 +245,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         sys.stdout.write(table)
     else:
         base = Path(args.out)
-        base.with_suffix(".csv").write_text(table, encoding="utf-8")
+        _write(base.with_suffix(".csv"), table)
         derived = export_description_lattice_context(rows)
-        base.with_suffix(".cxt").write_text(
-            serialize_burmeister(derived), encoding="utf-8"
-        )
+        _write(base.with_suffix(".cxt"), serialize_burmeister(derived))
     return EXIT_OK
 
 
@@ -266,9 +276,7 @@ def _cmd_randomize(args: argparse.Namespace) -> int:
     )
     _emit(_json_text(report), args.out)
     if args.csv_out:
-        Path(args.csv_out).write_text(
-            summaries_to_csv(report["metrics"]), encoding="utf-8"
-        )
+        _write(args.csv_out, summaries_to_csv(report["metrics"]))
     return EXIT_OK
 
 
@@ -334,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as exc:
+        print(f"fcakit: output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ContextFormatError, InputError, OSError) as exc:
         print(f"fcakit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,7 +11,8 @@ refused above ``POWERSET_SCAN_LIMIT`` attributes.
 The canonical ("lectic") order used throughout treats the first attribute as
 most significant: a mask's rank is its bit-reversal within the context width.
 ``lectic_sorted`` sorts Python ints by that rank, ``lectic_order`` sorts
-``uint64`` word arrays through a byte table.
+``uint64`` word arrays through a byte table, and a ``LecticWords`` list
+carries its sorted word array along.
 """
 
 from __future__ import annotations
@@ -79,6 +80,29 @@ def lectic_order(words: np.ndarray) -> np.ndarray:
     """
     rev = _REV8[np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)]
     return np.argsort(rev.view(np.uint64).byteswap(), kind="stable")
+
+
+# _POPCOUNT8[b] is the number of set bits of the byte b.
+_POPCOUNT8 = np.array([b.bit_count() for b in range(256)], dtype=np.int64)
+
+
+def popcounts(words: np.ndarray) -> np.ndarray:
+    """Attribute count of each mask of a ``uint64`` array."""
+    return _POPCOUNT8[words.view(np.uint8)].reshape(len(words), 8).sum(axis=1)
+
+
+class LecticWords(list):
+    """Distinct masks of up to 64 bits in lectic order, also held as one
+    ``uint64`` array, ``words``, in the same order.
+
+    ``enumerate_intents`` returns one, and ``build_lattice`` and
+    ``ClassIndex.sizes`` read its array instead of converting the list
+    back.  The list and the array must agree, so neither is changed.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        super().__init__(words.tolist())
+        self.words = words
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ that they read as probabilities; the raw pair counts are exposed separately
 for anyone wanting a different normalization.
 
 Masks of up to 64 bits are counted on one ``uint64`` array ordered by
-attribute count.  Both counts have two exact paths, and one rule
-(`_cubes_pay`), read from the attribute counts alone, picks the same path
-for both:
+attribute count, taken from the lectic word array the lattice was built
+with.  Each lattice keeps that array, the attribute counts and the verdict
+of the one rule (`_cubes_pay`), read from the attribute counts alone, that
+picks the same one of two exact paths for both counts:
 
 * the cube counts list the 2^|C| subsets of each intent C other than the
   top and mark the intents among them (`_cube_members`).  The comparable
@@ -39,13 +40,13 @@ Wider masks take pure-Python pair loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .context import AttrSet, lectic_order, lectic_sorted
+from .context import AttrSet, LecticWords, lectic_order, lectic_sorted, popcounts
 
 # The numpy pair passes take rows i0..i1-1 against columns i0+1..n-1 as one
 # 2-D block of about this many pairs: small enough to stay in cache, large
@@ -73,7 +74,6 @@ _CUBE_MAX_BITS = 17
 _TABLE_BITS = 16
 _CHUNK_BITS = _BLOCK_PAIRS.bit_length() - 1
 _CELL_COST = 16
-_POPCOUNT8 = np.array([b.bit_count() for b in range(256)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,23 @@ class ConceptLattice:
     """The ordered set of all intents of a context, lectic-sorted.
 
     The extent side of each concept is recoverable from the owning context
-    via ``context.extent(ctx, intent_mask)``.
+    via ``context.extent(ctx, intent_mask)``.  ``lectic_words``, when
+    given, holds the same intents as one ``uint64`` array in the same,
+    lectic, order, and the numpy counts start from it.
     """
 
     intents: tuple[AttrSet, ...]
+    lectic_words: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intents", tuple(self.intents))
-        if len(set(self.intents)) != len(self.intents):
+        words = self.lectic_words
+        if words is None:
+            duplicate = len(set(self.intents)) != len(self.intents)
+        else:
+            # Lectic order puts equal masks next to each other.
+            duplicate = bool(np.any(words[1:] == words[:-1]))
+        if duplicate:
             raise ValueError("duplicate intents")
 
     def __len__(self) -> int:
@@ -109,10 +118,22 @@ class ConceptLattice:
         The array is ordered by attribute count, so a proper subset never
         comes after its supersets; the pair counts do not depend on order.
         """
-        if max((m.bit_length() for m in self.intents), default=0) > 64:
-            return None
-        words = np.array(self.intents, dtype=np.uint64)
-        return words[np.argsort(_popcounts(words), kind="stable")]
+        words = self.lectic_words
+        if words is None:
+            if max((m.bit_length() for m in self.intents), default=0) > 64:
+                return None
+            words = np.array(self.intents, dtype=np.uint64)
+        return words[np.argsort(popcounts(words), kind="stable")]
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        """The attribute count of each mask of `_words`."""
+        return popcounts(self._words)
+
+    @cached_property
+    def _on_cubes(self) -> bool:
+        """Whether both counts take the cube path (`_cubes_pay`)."""
+        return _cubes_pay(self._words, self._sizes)
 
     def __contains__(self, mask: object) -> bool:
         return mask in self._members
@@ -130,13 +151,21 @@ class ConceptLattice:
 
 def build_lattice(intents: Sequence[AttrSet]) -> ConceptLattice:
     """Order a list of intents into a lattice (duplicates are an error,
-    raised by `ConceptLattice`).  Masks of up to 64 bits are sorted as one
-    word array by ``lectic_order``; wider ones by ``lectic_sorted``."""
+    raised by `ConceptLattice`).
+
+    A ``LecticWords`` list, as ``enumerate_intents`` returns, is already in
+    order and hands its word array on as it is.  Other lists of masks of up
+    to 64 bits are sorted as one word array by ``lectic_order``, which the
+    lattice keeps; wider ones by ``lectic_sorted``.
+    """
+    if isinstance(intents, LecticWords):
+        return ConceptLattice(tuple(intents), intents.words)
     width = max((m.bit_length() for m in intents), default=0)
     if width > 64:
         return ConceptLattice(tuple(lectic_sorted(intents, width)))
     words = np.array(intents, dtype=np.uint64)
-    return ConceptLattice(tuple(words[lectic_order(words)].tolist()))
+    words = words[lectic_order(words)]
+    return ConceptLattice(tuple(words.tolist()), words)
 
 
 def pair_total(lat: ConceptLattice) -> int:
@@ -174,9 +203,8 @@ def count_comparable_pairs(lat: ConceptLattice) -> int:
         return 0
     words = lat._words
     if words is not None:
-        sizes = _popcounts(words)
-        if _cubes_pay(words, sizes):
-            return _cube_comparable_pairs(words, sizes)
+        if lat._on_cubes:
+            return _cube_comparable_pairs(words, lat._sizes)
         return _pair_comparable_pairs(words)
     total = 0
     for i in range(n - 1):
@@ -224,11 +252,6 @@ def _slots(words: np.ndarray, bits: int = _FILTER_BITS) -> np.ndarray:
     slot = words * _FIB_MULT
     slot >>= np.uint64(64 - bits)
     return slot.view(np.int64)
-
-
-def _popcounts(words: np.ndarray) -> np.ndarray:
-    """Attribute count of each ``uint64`` mask."""
-    return _POPCOUNT8[words.view(np.uint8)].reshape(len(words), 8).sum(axis=1)
 
 
 def _top_split(words: np.ndarray, sizes: np.ndarray) -> tuple[np.uint64, int, int]:
@@ -428,9 +451,8 @@ def count_union_closed_pairs(lat: ConceptLattice) -> int:
         return 0
     words = lat._words
     if words is not None:
-        sizes = _popcounts(words)
-        if _cubes_pay(words, sizes):
-            return _cube_union_closed_pairs(words, sizes)
+        if lat._on_cubes:
+            return _cube_union_closed_pairs(words, lat._sizes)
         return _pair_union_closed_pairs(words)
     member = set(masks)
     total = 0

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -12,8 +14,10 @@ from fcakit import (
     CharFlags,
     FormalContext,
     Implication,
+    build_lattice,
     closure,
     dg_basis,
+    distributivity,
     enumerate_intents,
     enumerate_keys,
     enumerate_passkeys,
@@ -21,6 +25,7 @@ from fcakit import (
     enumerate_pseudo_intents,
     implication_closure,
     index_classes,
+    linearity,
 )
 from fcakit import charsets
 from fcakit.charsets import (
@@ -29,7 +34,7 @@ from fcakit.charsets import (
     _WordRules,
     min_key_sizes,
 )
-from fcakit.context import bit_reverse, lectic_sorted
+from fcakit.context import LecticWords, bit_reverse, lectic_sorted
 
 from conftest import (
     contexts,
@@ -730,6 +735,127 @@ class TestIntentKernels:
     def test_realistic_scale(self):
         ctx = realistic_context()
         assert enumerate_intents(ctx) == set_intents(ctx)
+
+    @pytest.mark.parametrize("bound", [0, 1, 3, 5])
+    def test_cube_bound_moved(self, monkeypatch, bound):
+        # With the bound lowered, most rows of the corpus are wide and the
+        # rest small, so cubes and the incremental loop meet on every context.
+        monkeypatch.setattr(charsets, "_ROW_CUBE_BITS", bound)
+        for ctx in acceptance_corpus():
+            assert enumerate_intents(ctx) == set_intents(ctx)
+
+    def test_cubes_find_each_intent_once(self):
+        # The merge would hide an intent found in two cubes, so the cubes'
+        # output is held alone to the intents inside some small row.
+        for ctx in acceptance_corpus()[::3] + [realistic_context()]:
+            rows = sorted(set(ctx.rows), key=int.bit_count)
+            sizes = [r.bit_count() for r in rows if r.bit_count() <= charsets._ROW_CUBE_BITS]
+            if not sizes:
+                continue
+            found = charsets._cube_intents(
+                np.array(rows, dtype=np.uint64), np.array(sizes), ctx.n_attrs
+            ).tolist()
+            small = rows[: len(sizes)]
+            inside = [x for x in set_intents(ctx) if any(x & r == x for r in small)]
+            assert sorted(found) == sorted(inside)
+
+    def test_rows_on_both_sides_of_the_bound(self):
+        # Two wide rows meet in 14 attributes that no small row holds: that
+        # intent comes from the incremental loop alone.
+        bound = charsets._ROW_CUBE_BITS
+        width = bound + 2
+        wide = ((1 << (bound + 1)) - 1, ((1 << (bound + 1)) - 1) << 1)
+        meet = wide[0] & wide[1]
+        rnd = random.Random(14)
+        small = tuple(
+            sum(1 << a for a in rnd.sample(range(width), rnd.randint(1, 8)))
+            for _ in range(12)
+        )
+        ctx = intent_context(wide + small, width)
+        assert all(r.bit_count() > bound for r in wide)
+        assert all(r.bit_count() <= bound and meet & r != meet for r in small)
+        intents = enumerate_intents(ctx)
+        assert meet in intents
+        assert intents == set_intents(ctx) == brute_force_class(ctx, "intent")
+
+    @pytest.mark.parametrize("width", [10, 16], ids=["full-row-small", "full-row-wide"])
+    def test_full_empty_and_duplicate_rows(self, width):
+        full = (1 << width) - 1
+        rows = (full, 0, 0b1011, 0b1011, 0b110, full, 0, 0b1110001)
+        ctx = intent_context(rows, width)
+        intents = enumerate_intents(ctx)
+        assert intents[0] == 0 and intents[-1] == full
+        assert intents == set_intents(ctx) == brute_force_class(ctx, "intent")
+
+    def test_bit_63_in_small_and_wide_rows(self):
+        rnd = random.Random(63)
+        top = 1 << 63
+        small = [top | sum(1 << a for a in rnd.sample(range(63), 4)) for _ in range(20)]
+        wide = [top | sum(1 << a for a in rnd.sample(range(63), 30)) for _ in range(6)]
+        ctx = intent_context(tuple(small + wide + [3, 5]), 64)
+        intents = enumerate_intents(ctx)
+        assert intents == set_intents(ctx)
+        assert top in intents
+        assert intents.words.dtype == np.uint64
+        assert intents.words.tolist() == intents
+
+    def test_no_objects_and_no_attributes(self):
+        assert enumerate_intents(intent_context((), 0)) == [0]
+
+    def test_all_rows_wide_take_no_cube(self, monkeypatch):
+        def no_cube(rows, sizes, n):
+            raise AssertionError("cube built for a row above the bound")
+
+        monkeypatch.setattr(charsets, "_cube_intents", no_cube)
+        n = charsets._ROW_CUBE_BITS + 2
+        ctx = contranominal_context(n)
+        intents = enumerate_intents(ctx)
+        assert len(intents) == 1 << n
+        assert intents == set_intents(ctx)
+
+    def test_lattice_from_list_equals_lattice_from_words(self):
+        intents = enumerate_intents(realistic_context())
+        from_words = build_lattice(intents)
+        shuffled = list(intents)
+        random.Random(5).shuffle(shuffled)
+        from_list = build_lattice(shuffled)
+        assert from_words.lectic_words is intents.words
+        assert from_list == from_words
+        assert from_list.intents == tuple(intents)
+        assert from_list.lectic_words.tolist() == intents
+        assert (linearity(from_list), distributivity(from_list)) == (
+            linearity(from_words),
+            distributivity(from_words),
+        )
+
+
+def intent_context(rows: tuple[int, ...], width: int) -> FormalContext:
+    return FormalContext(
+        tuple(f"g{k}" for k in range(len(rows))),
+        tuple(f"m{k}" for k in range(width)),
+        rows,
+    )
+
+
+class TestSizes:
+    """``ClassIndex.sizes``: one ``bincount`` for the intents and the word
+    key family, a ``Counter`` otherwise; every path counts the same."""
+
+    @pytest.mark.parametrize("width", [12, 70])
+    def test_counts_match_bit_counts(self, width):
+        ctx = wide_context(width, 12, seed=width)
+        index = index_classes(ctx)
+        for family in ("intents", "pseudo_intents", "keys", "passkeys", "proper_premises"):
+            expected = Counter(m.bit_count() for m in getattr(index, family))
+            assert index.sizes(family) == dict(expected), family
+        assert isinstance(index.intents, LecticWords) == (width <= 64)
+
+    def test_fuzz_corpus(self):
+        for ctx in acceptance_corpus()[::5]:
+            index = index_classes(ctx)
+            for family in ("intents", "keys"):
+                expected = Counter(m.bit_count() for m in getattr(index, family))
+                assert index.sizes(family) == dict(expected)
 
 
 class TestKeyClosures:

@@ -351,6 +351,26 @@ class TestExitCodes:
         assert "fcakit: input error: [Errno 13] Permission denied" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("indices", str(TOY_CXT), "--out", "{missing}/r.json"),
+            ("describe", str(TOY_CXT), "--out", "{missing}/descr"),
+            (
+                "randomize", str(TOY_CXT), "--strategy", "column", "--trials", "1",
+                "--out", "{tmp}/r.json", "--csv-out", "{missing}/r.csv",
+            ),
+        ],
+        ids=["indices", "describe", "randomize-csv-out"],
+    )
+    def test_unwritable_output_is_output_error(self, capsys, tmp_path, argv):
+        missing = tmp_path / "no" / "such" / "dir"
+        code = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "fcakit: output error: [Errno 2] No such file or directory" in captured.err
+        assert "input error" not in captured.err and "Traceback" not in captured.err
+
     def test_non_utf8_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.cxt"
         text = serialize_burmeister(toy_context()).replace("g1", "g\xe9")

@@ -17,14 +17,13 @@ from fcakit import (
     lattice,
     linearity,
 )
-from fcakit.context import lectic_sorted
+from fcakit.context import lectic_sorted, popcounts
 from fcakit.lattice import (
     _cube_comparable_pairs,
     _cube_union_closed_pairs,
     _cubes_pay,
     _pair_comparable_pairs,
     _pair_union_closed_pairs,
-    _popcounts,
     count_comparable_pairs,
     count_union_closed_pairs,
     pair_total,
@@ -60,7 +59,7 @@ def pair_pass(lat) -> int:
 
 def cube_count(lat) -> int:
     """The cube union count, whichever path the size rule picks."""
-    return _cube_union_closed_pairs(lat._words, _popcounts(lat._words))
+    return _cube_union_closed_pairs(lat._words, popcounts(lat._words))
 
 
 def comparable_pair_pass(lat) -> int:
@@ -70,11 +69,11 @@ def comparable_pair_pass(lat) -> int:
 
 def comparable_cube_count(lat) -> int:
     """The cube comparable count, whichever path the size rule picks."""
-    return _cube_comparable_pairs(lat._words, _popcounts(lat._words))
+    return _cube_comparable_pairs(lat._words, popcounts(lat._words))
 
 
 def cubes_pay(lat) -> bool:
-    return _cubes_pay(lat._words, _popcounts(lat._words))
+    return _cubes_pay(lat._words, popcounts(lat._words))
 
 
 class TestBuildLattice:
@@ -418,7 +417,7 @@ class TestCubeCount:
         # turned down from the attribute counts, before any cube is built.
         lat = build_lattice(enumerate_intents(staircase_context(60)))
         assert len(lat) == 60
-        words, sizes = lat._words, _popcounts(lat._words)
+        words, sizes = lat._words, popcounts(lat._words)
         tracemalloc.start()
         try:
             pays = _cubes_pay(words, sizes)
