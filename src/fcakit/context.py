@@ -263,6 +263,9 @@ def clarify_rows(ctx: FormalContext) -> tuple[FormalContext, list[int]]:
 # Burmeister CXT format
 
 
+_INCIDENCE_DIGITS = str.maketrans("X.", "10")
+
+
 def parse_burmeister(text: str) -> FormalContext:
     """Parse the Burmeister CXT format.
 
@@ -306,13 +309,11 @@ def parse_burmeister(text: str) -> FormalContext:
                 f"incidence row for {name!r} has length {len(line)}, "
                 f"expected {n_attrs}"
             )
-        mask = 0
-        for j, ch in enumerate(line):
-            if ch == "X":
-                mask |= 1 << j
-            elif ch != ".":
-                raise ContextFormatError(f"invalid incidence character {ch!r}")
-        rows.append(mask)
+        if line.count("X") + line.count(".") != n_attrs:
+            ch = next(ch for ch in line if ch not in "X.")
+            raise ContextFormatError(f"invalid incidence character {ch!r}")
+        # Attribute j is character j, so the reversed row reads in binary.
+        rows.append(int(line[::-1].translate(_INCIDENCE_DIGITS), 2) if line else 0)
     try:
         return FormalContext(tuple(object_names), tuple(attribute_names), tuple(rows))
     except ValueError as exc:

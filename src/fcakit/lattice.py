@@ -15,27 +15,32 @@ for anyone wanting a different normalization.
 
 Masks of up to 64 bits are counted on one ``uint64`` array ordered by
 attribute count, taken from the lectic word array the lattice was built
-with.  Each lattice keeps that array, the attribute counts and the verdict
-of the one rule (`_cubes_pay`), read from the attribute counts alone, that
-picks the same one of two exact paths for both counts:
+with.  One rule (`_cubes_pay`), read from the attribute counts alone, picks
+the same one of two exact paths for both counts:
 
-* the cube counts list the 2^|C| subsets of each intent C other than the
-  top and mark the intents among them (`_cube_members`).  The comparable
-  count sums the marks: f(C), the number of intents inside C, gives
-  f(C) - 1 pairs.  The union count (`_cube_union_closed_pairs`) counts the
-  pairs uniting to C by a subset-sum (zeta) transform and a Moebius
-  inversion over that cube (Bjorklund, Husfeldt, Kaski & Koivisto,
-  "Fourier meets Moebius: fast subset convolution", STOC 2007).  They run
-  when every such C has at most 17 attributes, a memory bound of 2^17
-  cells per cube, and the cells, each charged as 16 pairs, still come to
-  fewer than the pairs, as on lattices of many small intents;
+* the cube pass (`_cube_pair_counts`) lists the 2^|C| subsets of each
+  intent C other than the top and marks the intents among them
+  (`_cube_members`).  Only a cell that misses the member table and hashes
+  to a crowded slot, one whose member displaced another, is looked up
+  among the displaced members.  A subset-sum (zeta) transform of the marks
+  gives f(C), the number of intents inside C, so C is comparable with
+  f(C) - 1 others; a Moebius inversion of the squared sums over the same
+  cube counts the pairs uniting to C (Bjorklund, Husfeldt, Kaski &
+  Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007).
+  The lattice keeps both counts (`pair_counts`): the first index asked
+  for pays the whole pass, zeta transforms included, and the second
+  reads what it kept.  The pass runs when every such C has at most 17
+  attributes, a memory bound of 2^17 cells per cube, and the cells, each
+  charged as 16 pairs, still come to fewer than the pairs, as on
+  lattices of many small intents;
 * the blocked pair passes (`_pair_comparable_pairs`,
-  `_pair_union_closed_pairs`) test every pair in 2-D blocks.  Their cost
-  depends on n alone, so they stay for chain-like and dense lattices, whose
-  large intents have cubes far bigger than the pair triangle, and as the
-  twins the tests compare the cubes with.
+  `_pair_union_closed_pairs`) test every pair in 2-D blocks, each count
+  on its own, so a caller of one index does not pay for the other.  Their
+  cost depends on n alone, so they stay for chain-like and dense lattices,
+  whose large intents have cubes far bigger than the pair triangle, and as
+  the twins the tests compare the cube pass with.
 
-Wider masks take pure-Python pair loops.
+Wider masks take one pure-Python loop over the pairs for both counts.
 """
 
 from __future__ import annotations
@@ -83,7 +88,10 @@ class ConceptLattice:
     The extent side of each concept is recoverable from the owning context
     via ``context.extent(ctx, intent_mask)``.  ``lectic_words``, when
     given, holds the same intents as one ``uint64`` array in the same,
-    lectic, order, and the numpy counts start from it.
+    lectic, order, and the numpy counts start from it.  The two raw pair
+    counts are computed on first use; where one pass yields both (the cube
+    pass, or the loop over masks wider than 64 bits) the lattice keeps
+    them, so linearity and distributivity share it.
     """
 
     intents: tuple[AttrSet, ...]
@@ -131,9 +139,10 @@ class ConceptLattice:
         return popcounts(self._words)
 
     @cached_property
-    def _on_cubes(self) -> bool:
-        """Whether both counts take the cube path (`_cubes_pay`)."""
-        return _cubes_pay(self._words, self._sizes)
+    def _pair_counts(self) -> tuple[int, int] | None:
+        """Both raw counts where one pass yields them, else None
+        (`pair_counts`)."""
+        return pair_counts(self)
 
     def __contains__(self, mask: object) -> bool:
         return mask in self._members
@@ -191,29 +200,37 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
         i0 = i1
 
 
-def count_comparable_pairs(lat: ConceptLattice) -> int:
-    """Unordered pairs of distinct intents where one contains the other.
+def pair_counts(lat: ConceptLattice) -> tuple[int, int] | None:
+    """``(comparable, union_closed)`` pairs of ``lat`` from one pass, or
+    None where each count takes its own blocked pair pass.
 
-    Masks of up to 64 bits take the cube count when ``_cubes_pay`` says so,
-    else the blocked pair pass; wider ones the pure-Python pair loop.
+    Masks of up to 64 bits take the cube pass when ``_cubes_pay`` says so;
+    wider ones one pure-Python loop over the pairs.
     """
     masks = lat.intents
-    n = len(masks)
-    if n <= 1:
-        return 0
+    if len(masks) <= 1:
+        return 0, 0
     words = lat._words
-    if words is not None:
-        if lat._on_cubes:
-            return _cube_comparable_pairs(words, lat._sizes)
-        return _pair_comparable_pairs(words)
-    total = 0
-    for i in range(n - 1):
-        a = masks[i]
-        for b in masks[i + 1 :]:
-            inter = a & b
-            if inter == a or inter == b:
-                total += 1
-    return total
+    if words is None:
+        member = set(masks)
+        comparable = union_closed = 0
+        for i, a in enumerate(masks):
+            for b in masks[i + 1 :]:
+                inter = a & b
+                if inter == a or inter == b:
+                    comparable += 1
+                if a | b in member:
+                    union_closed += 1
+        return comparable, union_closed
+    if _cubes_pay(words, lat._sizes):
+        return _cube_pair_counts(words, lat._sizes)
+    return None
+
+
+def count_comparable_pairs(lat: ConceptLattice) -> int:
+    """Unordered pairs of distinct intents where one contains the other."""
+    counts = lat._pair_counts
+    return _pair_comparable_pairs(lat._words) if counts is None else counts[0]
 
 
 def _pair_comparable_pairs(words: np.ndarray) -> int:
@@ -226,22 +243,6 @@ def _pair_comparable_pairs(words: np.ndarray) -> int:
         hit = (rows & words[None, i0 + 1 :]) == rows
         hit[:, : i1 - i0 - 1] &= keep
         total += int(np.count_nonzero(hit))
-    return total
-
-
-def _cube_comparable_pairs(words: np.ndarray, sizes: np.ndarray) -> int:
-    """The comparable count from the subset cube of each member.
-
-    Exact for any family of distinct masks ordered by their attribute counts
-    ``sizes``.  A member C other than the top contains f(C) - 1 others,
-    f(C) being the members marked in its cube; the top, when a member,
-    contains the other n - 1.
-    """
-    n = len(words)
-    _, b, _ = _top_split(words, sizes)
-    total = n - 1 if b < n else 0
-    for _, marks in _cube_members(words[:b], sizes[:b]):
-        total += int(np.count_nonzero(marks)) - len(marks)
     return total
 
 
@@ -320,14 +321,19 @@ def _cube_members(
 
     A cell is found in a hashed table of about 8 slots per member (at most
     2^_TABLE_BITS).  Every slot holds a member, so a cell equal to its
-    slot's entry is one; the members displaced from their slot by another
-    are searched in the sorted ``lost`` array.
+    slot's entry is one.  The members displaced from their slot by another
+    are searched in the sorted ``lost`` array, but only for the cells that
+    hash to a ``crowded`` slot, one that displaced a member: a cell equal
+    to a lost member hashes to that member's slot.
     """
     bits = min(_TABLE_BITS, (8 * len(words)).bit_length())
     slots = _slots(words, bits)
     table = np.full(1 << bits, words[0])
     table[slots] = words
-    lost = np.sort(words[table[slots] != words])
+    displaced = table[slots] != words
+    lost = np.sort(words[displaced])
+    crowded = np.zeros(1 << bits, dtype=bool)
+    crowded[slots[displaced]] = True
     for k in range(int(sizes[-1]) + 1):
         lo, hi = np.searchsorted(sizes, (k, k + 1))
         low_bits = min(k, _CHUNK_BITS)
@@ -340,9 +346,10 @@ def _cube_members(
             for c in range(1 << (k - low_bits)):
                 cells = low | high[:, c, None] if c else low
                 found = marks[:, c << low_bits : (c + 1) << low_bits]
-                np.equal(table[_slots(cells, bits)], cells, out=found)
+                cell_slots = _slots(cells, bits)
+                np.equal(table[cell_slots], cells, out=found)
                 if lost.size:
-                    missed = ~found
+                    missed = crowded[cell_slots] & ~found
                     cells = cells[missed]
                     pos = np.searchsorted(lost, cells)
                     found[missed] = lost.take(pos, mode="clip") == cells
@@ -350,61 +357,64 @@ def _cube_members(
 
 
 def _moebius_signs(k: int) -> np.ndarray:
-    """(-1)^(k - |s|) for each cell s of a k-attribute cube."""
+    """(-1)^(k - |s|) for each cell s of a k-attribute cube.  Its last 2^j
+    entries are the signs of a j-attribute cube, for every j <= k."""
     signs = np.ones(1, dtype=np.int64)
     for _ in range(k):
         signs = np.concatenate((-signs, signs))
     return signs
 
 
-def _cube_union_closed_pairs(words: np.ndarray, sizes: np.ndarray) -> int:
-    """The union count from the subset cube of each member.
+def _cube_pair_counts(words: np.ndarray, sizes: np.ndarray) -> tuple[int, int]:
+    """``(comparable, union_closed)`` from the subset cube of each member.
 
     Exact for any family of distinct masks ordered by their attribute
     counts ``sizes``; a k-attribute member other than the top costs 2^k
     cells, marked by `_cube_members`.
 
-    Every pair uniting to a member C other than the top lies inside C.  Over
-    the cube of C, f(T) is the number of members inside T: the marks,
-    summed over subsets by one in-place zeta pass per attribute.  f(T)^2
-    counts the ordered pairs whose union lies inside T, so the Moebius
-    inversion at C, ``g(C) = sum over T of (-1)^|C - T| f(T)^2``, counts
-    the ordered pairs whose union is exactly C, one of them (C, C); C adds
-    (g(C) - 1) / 2.  With k attributes f(T) is at most min(2^k, n), so one
-    cube sums to at most 2^k * 2^(2k) = 2^(3k) <= 2^51 (k <= 17), and a
-    block of 2^15 cells of cubes of at most 15 attributes to at most 2^45,
-    both inside ``int64``.
+    Over the cube of a member C other than the top, f(T) is the number of
+    members inside T: the marks, summed over subsets by one in-place zeta
+    pass per attribute.  C contains f(C) - 1 other members.  Every pair
+    uniting to C lies inside C, and f(T)^2 counts the ordered pairs whose
+    union lies inside T, so the Moebius inversion at C,
+    ``g(C) = sum over T of (-1)^|C - T| f(T)^2``, counts the ordered pairs
+    whose union is exactly C, one of them (C, C); C adds (g(C) - 1) / 2.
+    With k attributes f(T) is at most min(2^k, n), so one cube sums to at
+    most 2^k * 2^(2k) = 2^(3k) <= 2^51 (k <= 17), and a block of 2^15
+    cells of cubes of at most 15 attributes to at most 2^45, both inside
+    ``int64``.
 
-    The top, when a member, unites with each of the other n - 1.  Two other
-    members that unite to it include one of the set H (`_top_split`), so one
-    pass of H over the other members counts them: X hits, of which the Y
-    within H count each pair twice, giving X - Y/2.
+    The top, when a member, contains each of the other n - 1 and unites
+    with each of them.  Two other members that unite to it include one of
+    the set H (`_top_split`), so one pass of H over the other members
+    counts them: X hits, of which the Y within H count each pair twice,
+    giving X - Y/2.
     """
     n = len(words)
     top, b, h = _top_split(words, sizes)
-    ordered = 0
-    signs = _moebius_signs(0)
+    comparable = ordered = 0
+    signs = _moebius_signs(int(sizes[b - 1]))
     for k, marks in _cube_members(words[:b], sizes[:b]):
         f = marks.astype(np.int64)
         for j in range(k):
             cells = f.reshape(len(f), -1, 2, 1 << j)
             cells[:, :, 1] += cells[:, :, 0]
+        comparable += int(np.sum(f[:, -1])) - len(f)
         f *= f
-        if len(signs) != 1 << k:
-            signs = _moebius_signs(k)
-        ordered += int(np.sum(f @ signs))
-    total = (ordered - b) // 2
+        ordered += int(np.sum(f @ signs[-(1 << k) :]))
+    union_closed = (ordered - b) // 2
     if b < n:
-        total += n - 1
+        comparable += n - 1
+        union_closed += n - 1
         heavy, others = words[h:b], words[:b]
         both = 0
         step = max(1, _BLOCK_PAIRS // b)
         for r0 in range(0, b - h, step):
             hit = (heavy[r0 : r0 + step, None] | others[None, :]) == top
-            total += int(np.count_nonzero(hit))
+            union_closed += int(np.count_nonzero(hit))
             both += int(np.count_nonzero(hit[:, h:]))
-        total -= both // 2
-    return total
+        union_closed -= both // 2
+    return comparable, union_closed
 
 
 def _pair_union_closed_pairs(words: np.ndarray) -> int:
@@ -440,28 +450,9 @@ def _pair_union_closed_pairs(words: np.ndarray) -> int:
 
 
 def count_union_closed_pairs(lat: ConceptLattice) -> int:
-    """Unordered pairs of distinct intents whose union is again an intent.
-
-    Masks of up to 64 bits take the cube count when ``_cubes_pay`` says so,
-    else the blocked pair pass; wider ones the pure-Python pair loop.
-    """
-    masks = lat.intents
-    n = len(masks)
-    if n <= 1:
-        return 0
-    words = lat._words
-    if words is not None:
-        if lat._on_cubes:
-            return _cube_union_closed_pairs(words, lat._sizes)
-        return _pair_union_closed_pairs(words)
-    member = set(masks)
-    total = 0
-    for i in range(n - 1):
-        a = masks[i]
-        for b in masks[i + 1 :]:
-            if a | b in member:
-                total += 1
-    return total
+    """Unordered pairs of distinct intents whose union is again an intent."""
+    counts = lat._pair_counts
+    return _pair_union_closed_pairs(lat._words) if counts is None else counts[1]
 
 
 def linearity(lat: ConceptLattice) -> float:

@@ -186,6 +186,33 @@ class TestBurmeister:
         with pytest.raises(ContextFormatError):
             parse_burmeister(text)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("X?X", "invalid incidence character '?'"),
+            ("..XY?", "invalid incidence character 'Y'"),
+            ("X X..", "invalid incidence character ' '"),
+            ("XX", "incidence row for 'g' has length 2, expected 3"),
+        ],
+    )
+    def test_incidence_row_errors_name_the_fault(self, row, message):
+        head = "B\n\n1\n{}\n\ng\n".format(max(3, len(row)))
+        attrs = "".join(f"m{j}\n" for j in range(max(3, len(row))))
+        with pytest.raises(ContextFormatError) as err:
+            parse_burmeister(head + attrs + row + "\n")
+        assert str(err.value) == message
+
+    def test_zero_attributes(self):
+        ctx = parse_burmeister("B\n\n2\n0\n\ng\nh\n\n\n")
+        assert (ctx.rows, ctx.n_attrs) == ((0, 0), 0)
+        assert parse_burmeister(serialize_burmeister(ctx)) == ctx
+
+    def test_rows_decode_bit_j_from_character_j(self):
+        attrs = "".join(f"m{j}\n" for j in range(70))
+        rows = "X" + "." * 68 + "X\n" + ".X" * 35 + "\n"
+        ctx = parse_burmeister("B\n\n2\n70\n\ng\nh\n" + attrs + rows)
+        assert ctx.rows == (1 | 1 << 69, sum(1 << j for j in range(1, 70, 2)))
+
     @given(contexts())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, ctx):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from itertools import combinations
@@ -16,12 +17,14 @@ from fcakit import (
     enumerate_intents,
     lattice,
     linearity,
+    serialize_burmeister,
 )
+from fcakit.cli import main
 from fcakit.context import lectic_sorted, popcounts
 from fcakit.lattice import (
-    _cube_comparable_pairs,
-    _cube_union_closed_pairs,
+    _cube_pair_counts,
     _cubes_pay,
+    _moebius_signs,
     _pair_comparable_pairs,
     _pair_union_closed_pairs,
     count_comparable_pairs,
@@ -59,7 +62,7 @@ def pair_pass(lat) -> int:
 
 def cube_count(lat) -> int:
     """The cube union count, whichever path the size rule picks."""
-    return _cube_union_closed_pairs(lat._words, popcounts(lat._words))
+    return _cube_pair_counts(lat._words, popcounts(lat._words))[1]
 
 
 def comparable_pair_pass(lat) -> int:
@@ -69,11 +72,44 @@ def comparable_pair_pass(lat) -> int:
 
 def comparable_cube_count(lat) -> int:
     """The cube comparable count, whichever path the size rule picks."""
-    return _cube_comparable_pairs(lat._words, popcounts(lat._words))
+    return _cube_pair_counts(lat._words, popcounts(lat._words))[0]
 
 
 def cubes_pay(lat) -> bool:
     return _cubes_pay(lat._words, popcounts(lat._words))
+
+
+def random_families(with_top: bool):
+    """150 random families of up to 80 masks of up to 12 bits, each with or
+    without the union of its members."""
+    rnd = random.Random(12 + with_top)
+    for _ in range(150):
+        width = rnd.randint(1, 12)
+        masks = {rnd.getrandbits(width) for _ in range(rnd.randint(2, 80))}
+        top = 0
+        for m in masks:
+            top |= m
+        if with_top:
+            masks.add(top)
+        else:
+            masks.discard(top)
+        if len(masks) >= 2:
+            yield sorted(masks)
+
+
+def chunked_cube_family(k: int) -> list[int]:
+    """A k-attribute member whose cube is searched in 2^15-cell chunks,
+    with small members inside it that use its highest attributes, bit 63
+    among them, so every chunk holds some."""
+    rnd = random.Random(k)
+    attrs = sorted(rnd.sample(range(63), k - 1) + [63])
+    big = sum(1 << a for a in attrs)
+    masks = {big, (1 << 64) - 1}
+    for _ in range(150):
+        masks.add(sum(1 << a for a in rnd.sample(attrs, rnd.randint(0, 3))))
+    masks |= {big ^ (1 << a) for a in attrs[-3:]}
+    assert sum(1 for m in masks if m & (1 << attrs[15])) > 10
+    return sorted(masks)
 
 
 class TestBuildLattice:
@@ -191,6 +227,23 @@ class TestVectorizedPath:
             tested += len(lat) > 1
         assert tested > 50
 
+    @pytest.mark.parametrize("width", range(65, 71))
+    def test_wide_families_one_loop(self, width):
+        # Small members over ten attributes spread up to bit width - 1: one
+        # pure-Python loop fills both counts.
+        rnd = random.Random(width)
+        attrs = rnd.sample(range(width - 1), 9) + [width - 1]
+        masks = {1 << (width - 1)}
+        for _ in range(150):
+            masks.add(sum(1 << a for a in rnd.sample(attrs, rnd.randint(0, 5))))
+        masks = sorted(masks)
+        lat = ConceptLattice(tuple(masks))
+        assert lat._words is None
+        expected = (brute_comparable(masks), brute_union_closed(masks))
+        assert min(expected) > 0
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
+        assert lattice.pair_counts(lat) == expected
+
     def test_corpus_agreement(self):
         for ctx in fuzz_contexts(20, max_objects=7, max_attrs=8, seed=5):
             lat = build_lattice(enumerate_intents(ctx))
@@ -278,19 +331,8 @@ class TestCubeCount:
 
     @pytest.mark.parametrize("with_top", [False, True])
     def test_random_families(self, with_top):
-        rnd = random.Random(12 + with_top)
-        for _ in range(150):
-            width = rnd.randint(1, 12)
-            masks = {rnd.getrandbits(width) for _ in range(rnd.randint(2, 80))}
-            top = 0
-            for m in masks:
-                top |= m
-            if with_top:
-                masks.add(top)
-            else:
-                masks.discard(top)
-            if len(masks) >= 2:
-                self.check(sorted(masks))
+        for masks in random_families(with_top):
+            self.check(masks)
 
     @pytest.mark.parametrize("width", [6, 9, 12])
     def test_halves_unite_to_top(self, width):
@@ -327,18 +369,29 @@ class TestCubeCount:
 
     @pytest.mark.parametrize("k", [16, 17])
     def test_cube_searched_in_chunks(self, k):
-        # A cube above 15 attributes is marked one 2^15-cell chunk at a
-        # time; members inside it use its highest attributes, bit 63 among
-        # them, so every chunk holds some.
-        rnd = random.Random(k)
-        attrs = sorted(rnd.sample(range(63), k - 1) + [63])
-        big = sum(1 << a for a in attrs)
-        masks = {big, (1 << 64) - 1}
-        for _ in range(150):
-            masks.add(sum(1 << a for a in rnd.sample(attrs, rnd.randint(0, 3))))
-        masks |= {big ^ (1 << a) for a in attrs[-3:]}
-        assert sum(1 for m in masks if m & (1 << attrs[15])) > 10
-        self.check(sorted(masks))
+        self.check(chunked_cube_family(k))
+
+    @pytest.mark.parametrize("table_bits", [2, 3])
+    def test_crowded_member_table(self, monkeypatch, table_bits):
+        # A member table of 4 or 8 slots displaces most members into the
+        # lost array, and crowds all or most slots.
+        monkeypatch.setattr(lattice, "_TABLE_BITS", table_bits)
+        families = [
+            *random_families(False),
+            *random_families(True),
+            chunked_cube_family(16),
+            chunked_cube_family(17),
+        ]
+        for masks in families:
+            lat = ConceptLattice(tuple(masks))
+            expected = (brute_comparable(masks), brute_union_closed(masks))
+            assert (comparable_pair_pass(lat), pair_pass(lat)) == expected
+            assert _cube_pair_counts(lat._words, popcounts(lat._words)) == expected
+
+    def test_moebius_signs_nest(self):
+        signs = _moebius_signs(17).tolist()
+        for k in range(18):
+            assert signs[len(signs) - (1 << k) :] == _moebius_signs(k).tolist()
 
     @pytest.mark.parametrize(
         "masks",
@@ -433,6 +486,64 @@ class TestCubeCount:
         monkeypatch.setattr(lattice, "_cube_members", no_cubes)
         assert count_union_closed_pairs(lat) == 60 * 59 // 2
         assert count_comparable_pairs(lat) == 60 * 59 // 2
+
+
+class TestOnePass:
+    """Where the cubes pay, both indices of a lattice share one cube pass;
+    where they do not, each index runs only its own pair pass."""
+
+    @staticmethod
+    def count_cube_passes(monkeypatch) -> list[int]:
+        calls = []
+        real = lattice._cube_members
+
+        def counting(words, sizes):
+            calls.append(len(words))
+            return real(words, sizes)
+
+        monkeypatch.setattr(lattice, "_cube_members", counting)
+        return calls
+
+    def test_indices_share_one_cube_pass(self, monkeypatch):
+        calls = self.count_cube_passes(monkeypatch)
+        lat = build_lattice(enumerate_intents(realistic_context()))
+        assert cubes_pay(lat)
+        pairs = pair_total(lat)
+        assert linearity(lat) == count_comparable_pairs(lat) / pairs
+        assert distributivity(lat) == count_union_closed_pairs(lat) / pairs
+        assert len(calls) == 1
+
+    def test_indices_command_runs_one_cube_pass(self, monkeypatch, tmp_path, capsys):
+        ctx = realistic_context()
+        path = tmp_path / "realistic.cxt"
+        path.write_text(serialize_burmeister(ctx))
+        calls = self.count_cube_passes(monkeypatch)
+        assert main(["indices", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        lat = build_lattice(enumerate_intents(ctx))
+        assert report["concepts"] == len(lat) == 1658
+        assert report["linearity"] == linearity(lat)
+        assert report["distributivity"] == distributivity(lat)
+
+    @pytest.mark.parametrize("index", ["linearity", "distributivity"])
+    def test_pair_path_runs_one_pair_pass_per_index(self, monkeypatch, index):
+        # The Boolean lattice on 9 attributes does not pay for its cubes.
+        lat = build_lattice(enumerate_intents(contranominal_context(9)))
+        assert not cubes_pay(lat)
+        comparable = brute_comparable(lat.intents)
+
+        def refuse(*args):
+            raise AssertionError("pass run for the other index")
+
+        monkeypatch.setattr(lattice, "_cube_members", refuse)
+        other = {
+            "linearity": "_pair_union_closed_pairs",
+            "distributivity": "_pair_comparable_pairs",
+        }[index]
+        monkeypatch.setattr(lattice, other, refuse)
+        expected = {"linearity": comparable, "distributivity": pair_total(lat)}[index]
+        assert getattr(lattice, index)(lat) == expected / pair_total(lat)
 
 
 class TestPairBlocks:
