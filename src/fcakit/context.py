@@ -154,13 +154,18 @@ class FormalContext:
 
     @cached_property
     def columns(self) -> tuple[ObjSet, ...]:
-        """Per-attribute object masks (the transposed incidence relation)."""
-        cols = [0] * self.n_attrs
-        for g, row in enumerate(self.rows):
-            bit = 1 << g
-            for j in iter_bits(row):
-                cols[j] |= bit
-        return tuple(cols)
+        """Per-attribute object masks (the transposed incidence relation).
+
+        The rows are unpacked into a bit matrix, which is transposed and
+        packed again, both little-endian, so bit j of row g becomes bit g
+        of column j.
+        """
+        n_g, n_m = self.n_objects, self.n_attrs
+        width = (n_m + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.rows), np.uint8)
+        bits = np.unpackbits(packed.reshape(n_g, width), axis=1, count=n_m, bitorder="little")
+        cols = np.packbits(bits.T, axis=1, bitorder="little")
+        return tuple(int.from_bytes(col, "little") for col in cols)
 
     @property
     def crosses(self) -> int:

@@ -7,13 +7,14 @@ import faulthandler
 import io
 import os
 import random
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from fcakit import FormalContext, parse_dense_csv
+from fcakit import FormalContext, parse_dense_csv, randomize
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -163,6 +164,53 @@ def contexts(draw, max_objects: int = 6, max_attrs: int = 8):
 @pytest.fixture
 def toy() -> FormalContext:
     return toy_context()
+
+
+@dataclass
+class ForcedFork:
+    """Trials run over ``k`` processes; ``forks`` holds each child's pid."""
+
+    k: int
+    forks: list[int] = field(default_factory=list)
+
+
+@pytest.fixture(params=[2, 3], ids=["k2", "k3"])
+def forced_fork(request, monkeypatch) -> ForcedFork:
+    """``run_trials`` forks k - 1 children (k = 2, 3) on any context and any
+    host, as if its affinity set held k CPUs and every context were slow."""
+    forced = ForcedFork(request.param)
+    fork = os.fork
+
+    def counting_fork() -> int:
+        pid = fork()
+        if pid:
+            forced.forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(randomize, "_cpu_count", lambda: forced.k)
+    monkeypatch.setattr(randomize, "FORK_MIN_EVALUATE_S", 0.0)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forced
+
+
+def run_sequentially(func, *args, **kwargs):
+    """``func(*args, **kwargs)`` with every trial in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomize, "_cpu_count", lambda: 1)
+        return func(*args, **kwargs)
+
+
+def open_fd_count() -> int:
+    """Descriptors open in this process (Linux ``/proc``; skips elsewhere)."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_children() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # The slowest test takes about a second.

@@ -6,6 +6,8 @@ enumerations in ``fcakit.charsets``.  ``classify`` and ``is_proper_premise``
 decide the flags of one subset from the definitions, through ``closure``
 and ``extent``.  ``build_descriptions_context`` and ``group_descriptions``
 walk the whole power set, the twin of ``summarize_descriptions``.
+``columns`` transposes a context bit by bit, the twin of
+``FormalContext.columns``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ BRUTE_FORCE_CLASSES = (
 )
 
 
+def columns(ctx: FormalContext) -> tuple[int, ...]:
+    """Per-attribute object masks, set one cross at a time."""
+    cols = [0] * ctx.n_attrs
+    for g, row in enumerate(ctx.rows):
+        bit = 1 << g
+        for j in iter_bits(row):
+            cols[j] |= bit
+    return tuple(cols)
+
+
 def iter_lectic_masks(width: int) -> Iterator[int]:
     """Yield every subset of a ``width``-attribute set in lectic order."""
     if width > POWERSET_SCAN_LIMIT:
@@ -51,7 +63,7 @@ def _powerset_tables(ctx: FormalContext) -> tuple[list[int], dict[int, int], dic
     """Extent and closure of every subset, by one dynamic-programming pass."""
     n = ctx.n_attrs
     masks = list(iter_lectic_masks(n))
-    cols = ctx.columns
+    cols = columns(ctx)
     ext: dict[int, int] = {0: ctx.object_universe}
     for mask in range(1, 1 << n):
         low = mask & -mask

@@ -3,18 +3,37 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from fcakit import charsets, lattice, parse_burmeister, serialize_burmeister, serialize_dense_csv
+from fcakit import (
+    CapacityError,
+    charsets,
+    lattice,
+    parse_burmeister,
+    randomize,
+    serialize_burmeister,
+    serialize_dense_csv,
+)
 from fcakit.cli import build_analysis_report, build_indices_report, main
 from fcakit.descriptions import summarize_descriptions
 from fcakit.randomize import evaluate_metrics
 
-from conftest import DATA_DIR, nominal_context, staircase_context, toy_context
+from conftest import (
+    DATA_DIR,
+    assert_no_children,
+    grouped_demo_context,
+    nominal_context,
+    open_fd_count,
+    run_sequentially,
+    staircase_context,
+    toy_context,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src/fcakit/schemas/report.schema.json").read_text()
@@ -281,6 +300,91 @@ class TestRandomize:
             "bogus",
         )
         assert code == 2
+
+
+class TestForkedRandomize:
+    """``fcakit randomize`` with its trials forced through forked children."""
+
+    ARGV = ("randomize", str(TOY_CXT), "--strategy", "column", "--trials", "5", "--seed", "8")
+
+    def test_report_bytes_match_sequential(self, forced_fork, tmp_path):
+        path = tmp_path / "demo.cxt"
+        path.write_text(serialize_burmeister(grouped_demo_context()))
+        for strategy in ("column", "density"):
+            outputs = []
+            for run in (run_sequentially, lambda f, *a: f(*a)):
+                out, table = tmp_path / "r.json", tmp_path / "r.csv"
+                argv = ["randomize", str(path), "--strategy", strategy, "--trials", "6", "--seed", "3"]
+                assert run(main, [*argv, "--out", str(out), "--csv-out", str(table)]) == 0
+                outputs.append((out.read_bytes(), table.read_bytes()))
+            assert outputs[0] == outputs[1]
+        assert len(forced_fork.forks) == 2 * (forced_fork.k - 1)
+
+    def fail_in_children(self, monkeypatch, fail) -> None:
+        parent = os.getpid()
+        real = randomize.evaluate_metrics
+
+        def failing(ctx, metrics=randomize.DEFAULT_METRICS):
+            if os.getpid() != parent:
+                fail()
+            return real(ctx, metrics)
+
+        monkeypatch.setattr(randomize, "evaluate_metrics", failing)
+
+    def run_failing(self, capsys) -> tuple[int, str]:
+        fds = open_fd_count()
+        code = main(list(self.ARGV))
+        err = capsys.readouterr().err
+        assert_no_children()
+        assert open_fd_count() == fds
+        return code, err.strip().splitlines()[-1]
+
+    def test_capacity_error_in_a_child_exits_3(self, forced_fork, capsys, monkeypatch):
+        def fail():
+            raise CapacityError("trial too large")
+
+        with monkeypatch.context() as mp:
+            # The same error raised in this process, for its message.
+            mp.setattr(randomize, "evaluate_metrics", lambda ctx, metrics: fail())
+            assert main(list(self.ARGV)) == 3
+            here = capsys.readouterr().err.strip().splitlines()[-1]
+        self.fail_in_children(monkeypatch, fail)
+        assert self.run_failing(capsys) == (3, here)
+        assert here == "fcakit: capacity exceeded: trial too large"
+
+    def test_other_error_in_a_child_exits_4(self, forced_fork, capsys, monkeypatch):
+        def fail():
+            raise KeyError("lost")
+
+        self.fail_in_children(monkeypatch, fail)
+        assert self.run_failing(capsys) == (4, "fcakit: internal error: 'lost'")
+
+    def test_child_without_result_exits_4_naming_it(self, forced_fork, capsys, monkeypatch):
+        self.fail_in_children(monkeypatch, lambda: os._exit(1))
+        code, message = self.run_failing(capsys)
+        assert code == 4
+        assert message.startswith("fcakit: internal error: trial worker 0 left no result")
+
+    def test_error_in_this_process_kills_and_reaps_children(self, forced_fork, capsys, monkeypatch):
+        # The real context is evaluated first; the next call here is this
+        # process's own share, after the children were forked.  Children
+        # that would run on for 20 s are killed, not waited for.
+        parent = os.getpid()
+        calls = []
+
+        def failing(ctx, metrics=randomize.DEFAULT_METRICS):
+            if os.getpid() != parent:
+                time.sleep(20)
+            calls.append(ctx)
+            if len(calls) == 2:
+                raise CapacityError("own share too large")
+            return {}
+
+        monkeypatch.setattr(randomize, "evaluate_metrics", failing)
+        start = time.monotonic()
+        assert self.run_failing(capsys) == (3, "fcakit: capacity exceeded: own share too large")
+        assert time.monotonic() - start < 10
+        assert forced_fork.forks
 
 
 class TestExitCodes:

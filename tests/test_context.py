@@ -31,8 +31,16 @@ from fcakit.context import (
     lectic_sorted,
 )
 
-from conftest import DATA_DIR, contexts, ctx_of
-from oracles import iter_lectic_masks
+from conftest import (
+    DATA_DIR,
+    contexts,
+    contranominal_context,
+    ctx_of,
+    grouped_demo_context,
+    nominal_context,
+    realistic_context,
+)
+from oracles import columns, iter_lectic_masks
 
 
 class TestFormalContext:
@@ -78,6 +86,31 @@ class TestFormalContext:
             toy.object_names, toy.attribute_names, toy.rows, meta={"note": 1}
         )
         assert other == toy
+
+
+class TestColumns:
+    """``FormalContext.columns`` against the cross-by-cross loop."""
+
+    def test_fixtures(self):
+        parsed = [parse_burmeister((DATA_DIR / name).read_text()) for name in ("toy.cxt", "live_in_water.cxt")]
+        built = [grouped_demo_context(), realistic_context(), nominal_context(9), contranominal_context(8)]
+        for ctx in parsed + built:
+            assert ctx.columns == columns(ctx)
+
+    @pytest.mark.parametrize(
+        "n_objects, n_attrs",
+        [(0, 0), (0, 5), (7, 0), (1, 1), (9, 8), (8, 9), (403, 20), (70, 65), (64, 100), (3, 129), (130, 130)],
+    )
+    def test_random_contexts(self, n_objects, n_attrs):
+        rng = random.Random(1000 * n_objects + n_attrs)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            rows = tuple(
+                sum(1 << j for j in range(n_attrs) if rng.random() < density) for _ in range(n_objects)
+            )
+            ctx = FormalContext(
+                tuple(f"g{i}" for i in range(n_objects)), tuple(f"m{j}" for j in range(n_attrs)), rows
+            )
+            assert ctx.columns == columns(ctx)
 
 
 class TestPrimeOperators:

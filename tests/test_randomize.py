@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from fcakit import (
@@ -13,14 +16,17 @@ from fcakit import (
     run_trials,
     summarize,
 )
-from fcakit import lattice
+from fcakit import lattice, randomize
 from fcakit.randomize import DEFAULT_METRICS, derive_trial_seed, evaluate_metrics, shuffle
 
 from conftest import (
+    assert_no_children,
     ctx_of,
     fuzz_contexts,
     grouped_demo_context,
+    open_fd_count,
     realistic_context,
+    run_sequentially,
     toy_context,
 )
 
@@ -207,6 +213,52 @@ class TestRunTrials:
         assert run_trials(toy, "column", 2, 0, metrics=mixed) == run_trials(
             toy, "column", 2, 0, metrics=("intent-count", "linearity")
         )
+
+
+class TestForkedTrials:
+    """The forked trial path against every trial run in this process."""
+
+    @pytest.mark.parametrize("strategy", ["density", "column"])
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 5])
+    def test_matches_sequential(self, forced_fork, strategy, n_trials):
+        demo = grouped_demo_context()
+        want = run_sequentially(run_trials, demo, strategy, n_trials, seed=11)
+        assert forced_fork.forks == []
+        fds = open_fd_count()
+        home = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        assert run_trials(demo, strategy, n_trials, seed=11) == want
+        assert len(forced_fork.forks) == min(forced_fork.k, n_trials) - 1
+        assert_no_children()
+        assert open_fd_count() == fds
+        if home is not None:
+            assert os.sched_getaffinity(0) == home
+
+    @pytest.mark.parametrize("strategy", ["density", "column"])
+    def test_each_trial_reproducible_alone(self, forced_fork, strategy):
+        TestRunTrials().test_each_trial_reproducible_alone(strategy)
+        assert forced_fork.forks
+
+    def test_unforkable_strides_run_here(self, forced_fork, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        demo = grouped_demo_context()
+        want = run_sequentially(run_trials, demo, "column", 5, seed=2)
+        fds = open_fd_count()
+        assert run_trials(demo, "column", 5, seed=2) == want
+        assert open_fd_count() == fds
+
+    def test_toy_contexts_never_fork(self, monkeypatch):
+        # test_repeated_metric_names_collapse counts calls made in this
+        # process, which holds only while small contexts stay here.
+        def no_fork():
+            raise AssertionError("a toy context was evaluated in a child")
+
+        monkeypatch.setattr(randomize, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        for metrics in (None, ("linearity",), ("intent-count", "linearity")):
+            run_trials(toy_context(), "column", 4, 0, metrics=metrics)
 
 
 class TestLiveInWaterIndistinguishable:
