@@ -174,7 +174,8 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
     contain T, and a clear flag when T lies inside an earlier small row.
     Cell T holds exactly T with its flag set when T is an intent found here
     first.  Rows of one size go in blocks of about ``_BLOCK_WORDS`` cells,
-    of cubes and of traces alike.
+    of cubes and of traces alike; a block's cubes are one cell-major
+    ``(2^k, rows)`` array, so cell T of row r sits at ``T * rows + r``.
     """
     d, small = len(rows), len(sizes)
     planes = (rows[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
@@ -196,14 +197,14 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
             trace = np.zeros((r1 - r0, d), dtype=np.uint16)
             for t in range(k):
                 trace |= planes[attrs[r0:r1, t]] << np.uint16(t)
-            cube = np.full((r1 - r0, 1 << k), (2 << k) - 1, dtype=np.uint16)
+            cube = np.full((1 << k, r1 - r0), (2 << k) - 1, dtype=np.uint16)
             cells = cube.reshape(-1)
-            at = trace + (np.arange(r1 - r0) << k)[:, None]
+            at = np.multiply(trace, r1 - r0, dtype=np.intp) + np.arange(r1 - r0)[:, None]
             cells[at] = trace | flag
             earlier = np.arange(d) < np.arange(r0, r1)[:, None]
             cells[at[earlier]] = trace[earlier]
             _superset_meets(cube, k)
-            hit_row, hit_cell = np.nonzero(cube == closed)
+            hit_cell, hit_row = np.nonzero(cube == closed[:, None])
             found_rows.append(hit_row + r0)
             found_cells.append(hit_cell)
     row_of = np.concatenate(found_rows)
@@ -217,17 +218,14 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _superset_meets(cube: np.ndarray, k: int) -> None:
-    """In place, AND into each cell of every row of ``cube`` (``2^k``
-    ``uint16`` cells per row) the cells of all its supersets: one pass per
-    attribute, pairing each cell without it with the cell with it.  From
-    the third attribute on, the paired runs are whole ``uint64`` words of
-    four cells."""
+    """In place, AND into each cell of ``cube`` (``2^k`` cells by any
+    number of rows, ``uint16``) the cells of all its supersets in the same
+    row: one pass per attribute ANDs each run of cells with it into the
+    run without it, ``2^j`` times the rows contiguous cells for the j-th
+    attribute."""
     for j in range(k):
-        if j < 2:
-            halves = cube.reshape(len(cube), -1, 2, 1 << j)
-        else:
-            halves = cube.view(np.uint64).reshape(len(cube), -1, 2, 1 << (j - 2))
-        halves[:, :, 0] &= halves[:, :, 1]
+        halves = cube.reshape(-1, 2, cube.shape[1] << j)
+        halves[:, 0] &= halves[:, 1]
 
 
 class _ScalarRules:

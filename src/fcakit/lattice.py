@@ -20,19 +20,20 @@ the same one of two exact paths for both counts:
 
 * the cube pass (`_cube_pair_counts`) lists the 2^|C| subsets of each
   intent C other than the top and marks the intents among them
-  (`_cube_members`).  Only a cell that misses the member table and hashes
-  to a crowded slot, one whose member displaced another, is looked up
-  among the displaced members.  A subset-sum (zeta) transform of the marks
-  gives f(C), the number of intents inside C, so C is comparable with
-  f(C) - 1 others; a Moebius inversion of the squared sums over the same
-  cube counts the pairs uniting to C (Bjorklund, Husfeldt, Kaski &
-  Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007).
-  The lattice keeps both counts (`pair_counts`): the first index asked
-  for pays the whole pass, zeta transforms included, and the second
-  reads what it kept.  The pass runs when every such C has at most 17
-  attributes, a memory bound of 2^17 cells per cube, and the cells, each
-  charged as 16 pairs, still come to fewer than the pairs, as on
-  lattices of many small intents;
+  (`_cube_members`).  The cubes of a block are one cell-major array, 2^|C|
+  cells by intents, so each pass over them runs along whole rows.  Only a
+  cell that misses the member table and hashes to a crowded slot, one
+  whose member displaced another, is looked up among the displaced
+  members.  A subset-sum (zeta) transform of the marks gives f(C), the
+  number of intents inside C, so C is comparable with f(C) - 1 others; a
+  Moebius inversion of the squared sums over the same cube counts the
+  pairs uniting to C (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier
+  meets Moebius: fast subset convolution", STOC 2007).  The lattice keeps
+  both counts (`pair_counts`): the first index asked for pays the whole
+  pass, zeta transforms included, and the second reads what it kept.  The
+  pass runs when every such C has at most 17 attributes, a memory bound of
+  2^17 cells per cube, and the cells, each charged as 16 pairs, still come
+  to fewer than the pairs, as on lattices of many small intents;
 * the blocked pair passes (`_pair_comparable_pairs`,
   `_pair_union_closed_pairs`) test every pair in 2-D blocks, each count
   on its own, so a caller of one index does not pay for the other.  Their
@@ -292,16 +293,16 @@ def _cubes_pay(words: np.ndarray, sizes: np.ndarray) -> bool:
 def _subset_cubes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(cube, rest)`` for masks of at least ``k`` attributes each.
 
-    ``cube`` holds the ``(len(rows), 2^k)`` subsets of the lowest ``k``
-    attributes of each row: cell ``s`` holds those whose rank, from the
-    lowest, is a set bit of ``s``.  ``rest`` holds the other attributes.
+    ``cube`` holds the subsets of the lowest ``k`` attributes of each row,
+    ``(2^k, len(rows))``: cell ``s`` of row ``r`` holds those whose rank,
+    from the lowest, is a set bit of ``s``.  ``rest`` holds the others.
     """
-    cube = np.zeros((len(rows), 1 << k), dtype=np.uint64)
+    cube = np.zeros((1 << k, len(rows)), dtype=np.uint64)
     rest = rows.copy()
     for j in range(k):
         low = rest & ~(rest - np.uint64(1))
         rest ^= low
-        np.bitwise_or(cube[:, : 1 << j], low[:, None], out=cube[:, 1 << j : 2 << j])
+        np.bitwise_or(cube[: 1 << j], low, out=cube[1 << j : 2 << j])
     return cube, rest
 
 
@@ -312,12 +313,12 @@ def _cube_members(
 
     ``words`` are distinct masks ordered by their attribute counts
     ``sizes``.  Yields ``(k, marks)`` for each block of k-attribute masks:
-    ``marks[r, s]`` is whether cell ``s`` of the cube of row ``r`` (as laid
+    ``marks[s, r]`` is whether cell ``s`` of the cube of row ``r`` (as laid
     out by `_subset_cubes`) is a member.  A block holds at most
     ``_BLOCK_PAIRS`` cells, or one larger cube.  Cells are built and
-    searched ``_BLOCK_PAIRS`` at a time: a larger cube is the lowest 15
-    attributes' cube united with each subset of the others in turn, so only
-    its marks are held at full size.
+    searched ``_BLOCK_PAIRS`` at a time: the 2^15 cells from ``c << 15`` of
+    a larger cube are its lowest 15 attributes' cube united with subset c
+    of the others, so only its marks are held at full size.
 
     A cell is found in a hashed table of about 8 slots per member (at most
     2^_TABLE_BITS).  Every slot holds a member, so a cell equal to its
@@ -342,10 +343,10 @@ def _cube_members(
             rows = words[r0 : min(hi, r0 + step)]
             low, rest = _subset_cubes(rows, low_bits)
             high, _ = _subset_cubes(rest, k - low_bits)
-            marks = np.empty((len(rows), 1 << k), dtype=bool)
+            marks = np.empty((1 << k, len(rows)), dtype=bool)
             for c in range(1 << (k - low_bits)):
-                cells = low | high[:, c, None] if c else low
-                found = marks[:, c << low_bits : (c + 1) << low_bits]
+                cells = low | high[c] if c else low
+                found = marks[c << low_bits : (c + 1) << low_bits]
                 cell_slots = _slots(cells, bits)
                 np.equal(table[cell_slots], cells, out=found)
                 if lost.size:
@@ -379,10 +380,10 @@ def _cube_pair_counts(words: np.ndarray, sizes: np.ndarray) -> tuple[int, int]:
     union lies inside T, so the Moebius inversion at C,
     ``g(C) = sum over T of (-1)^|C - T| f(T)^2``, counts the ordered pairs
     whose union is exactly C, one of them (C, C); C adds (g(C) - 1) / 2.
-    With k attributes f(T) is at most min(2^k, n), so one cube sums to at
-    most 2^k * 2^(2k) = 2^(3k) <= 2^51 (k <= 17), and a block of 2^15
-    cells of cubes of at most 15 attributes to at most 2^45, both inside
-    ``int64``.
+    A block sums f(T)^2 over its rows, then dots the sums with the signs,
+    all in ``int64``: f(T) <= 2^k, so a block of 2^15 cells of cubes of at
+    most 15 attributes sums to at most 2^15 * 2^30 = 2^45 in absolute value,
+    and one 17-attribute cube to 2^17 * 2^34 = 2^51, partial sums included.
 
     The top, when a member, contains each of the other n - 1 and unites
     with each of them.  Two other members that unite to it include one of
@@ -397,11 +398,11 @@ def _cube_pair_counts(words: np.ndarray, sizes: np.ndarray) -> tuple[int, int]:
     for k, marks in _cube_members(words[:b], sizes[:b]):
         f = marks.astype(np.int64)
         for j in range(k):
-            cells = f.reshape(len(f), -1, 2, 1 << j)
-            cells[:, :, 1] += cells[:, :, 0]
-        comparable += int(np.sum(f[:, -1])) - len(f)
+            cells = f.reshape(-1, 2, 1 << j, f.shape[1])
+            cells[:, 1] += cells[:, 0]
+        comparable += int(np.sum(f[-1])) - f.shape[1]
         f *= f
-        ordered += int(np.sum(f @ signs[-(1 << k) :]))
+        ordered += int(signs[-(1 << k) :] @ f.sum(axis=1))
     union_closed = (ordered - b) // 2
     if b < n:
         comparable += n - 1

@@ -759,6 +759,27 @@ class TestIntentKernels:
             inside = [x for x in set_intents(ctx) if any(x & r == x for r in small)]
             assert sorted(found) == sorted(inside)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", range(8))
+    def test_superset_meets(self, k, width):
+        # Each cell of a random cell-major cube, 2^k cells by width rows,
+        # against the meet of its supersets in its row. Most cells clear one
+        # random bit, so the meets keep some bits set; width 1 is a single
+        # cube, whose runs are the shortest.
+        rng = np.random.default_rng(8 * k + width)
+        clear = np.left_shift(1, rng.integers(0, 16, size=(1 << k, width)))
+        clear *= rng.random((1 << k, width)) < 0.7
+        cube = (0xFFFF ^ clear).astype(np.uint16)
+        before = cube.tolist()
+        charsets._superset_meets(cube, k)
+        for s in range(1 << k):
+            for r in range(width):
+                meet = 0xFFFF
+                for t in range(1 << k):
+                    if t & s == s:
+                        meet &= before[t][r]
+                assert int(cube[s, r]) == meet
+
     def test_rows_on_both_sides_of_the_bound(self):
         # Two wide rows meet in 14 attributes that no small row holds: that
         # intent comes from the incremental loop alone.

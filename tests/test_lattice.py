@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -27,6 +28,7 @@ from fcakit.lattice import (
     _moebius_signs,
     _pair_comparable_pairs,
     _pair_union_closed_pairs,
+    _subset_cubes,
     count_comparable_pairs,
     count_union_closed_pairs,
     pair_total,
@@ -371,6 +373,20 @@ class TestCubeCount:
     def test_cube_searched_in_chunks(self, k):
         self.check(chunked_cube_family(k))
 
+    def test_chunked_cubes_of_16_and_17_attributes(self):
+        # A 16- and a 17-attribute member on different attributes, bit 63
+        # in the larger, each holding every subset of at most 2 of its
+        # attributes: both cubes are searched in 2^15-cell chunks, with
+        # members in every chunk.
+        rnd = random.Random(1617)
+        attrs = rnd.sample(range(63), 32) + [63]
+        masks = {0, (1 << 64) - 1}
+        for part in (attrs[:16], attrs[16:]):
+            masks.add(sum(1 << a for a in part))
+            masks.update((1 << a) | (1 << b) for a in part for b in part)
+        assert sorted(m.bit_count() for m in masks)[-3:] == [16, 17, 64]
+        self.check(sorted(masks))
+
     @pytest.mark.parametrize("table_bits", [2, 3])
     def test_crowded_member_table(self, monkeypatch, table_bits):
         # A member table of 4 or 8 slots displaces most members into the
@@ -486,6 +502,31 @@ class TestCubeCount:
         monkeypatch.setattr(lattice, "_cube_members", no_cubes)
         assert count_union_closed_pairs(lat) == 60 * 59 // 2
         assert count_comparable_pairs(lat) == 60 * 59 // 2
+
+
+class TestCubeLayout:
+    """The cell-major cubes, ``2^k`` cells by rows, cell by cell."""
+
+    @pytest.mark.parametrize("width", range(1, 5))
+    @pytest.mark.parametrize("k", range(7))
+    def test_subset_cubes(self, k, width):
+        # Cell s of column r is the subset of row r picked by the rank bits
+        # of s; some rows use bit 63, and each has up to 6 attributes beyond
+        # the k.
+        rnd = random.Random(8 * k + width)
+        rows = [
+            sum(1 << a for a in rnd.sample(range(64), rnd.randint(k, k + 5)))
+            | (rnd.getrandbits(1) << 63)
+            for _ in range(width)
+        ]
+        cube, rest = _subset_cubes(np.array(rows, dtype=np.uint64), k)
+        assert cube.shape == (1 << k, width)
+        for r, row in enumerate(rows):
+            bits = [1 << a for a in range(64) if row >> a & 1]
+            for s in range(1 << k):
+                subset = sum(bits[t] for t in range(k) if s >> t & 1)
+                assert int(cube[s, r]) == subset
+            assert int(rest[r]) == sum(bits[k:])
 
 
 class TestOnePass:
