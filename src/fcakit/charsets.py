@@ -112,6 +112,14 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     lectic sort of the two parts then drops the intents found by both.
     Wider contexts run the incremental loop on a Python set; all paths
     give the same list.
+
+    The cubes also count the two terms of the lattice indices for each
+    intent C they find (`_intent_terms`): f(C), the intents inside C, and
+    g(C), the ordered pairs of intents uniting to exactly C.  The list
+    carries them as ``terms``, a ``(2, len)`` ``int32`` array aligned with
+    ``words``, 0 and 0 for the intents only the incremental loop found;
+    the sort keeps the cubes' copy of an intent found by both.  Every
+    intent enumeration pays for them, whether or not an index is asked for.
     """
     n = ctx.n_attrs
     if n > 64:
@@ -124,14 +132,19 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     order = np.argsort(sizes, kind="stable")
     rows, sizes = rows[order], sizes[order]
     small = int(np.searchsorted(sizes, _ROW_CUBE_BITS, side="right"))
-    parts = [_incremental_intents(rows[small:], ctx.attribute_universe)]
+    words = _incremental_intents(rows[small:], ctx.attribute_universe)
+    terms = np.zeros((2, len(words)), dtype=np.int32)
     if small:
-        parts.append(_cube_intents(rows, sizes[:small], n))
-    words = np.concatenate(parts)
-    words = words[lectic_order(words)]
+        # The cubes' part goes first, so the stable sort puts their copy of
+        # an intent found by both before the loop's, and the merge keeps it.
+        found, found_terms = _cube_intents(rows, sizes[:small], n)
+        words = np.concatenate((found, words))
+        terms = np.concatenate((found_terms, terms), axis=1)
+    order = lectic_order(words)
+    words, terms = words[order], terms[:, order]
     distinct = np.ones(len(words), dtype=bool)
     np.not_equal(words[1:], words[:-1], out=distinct[1:])
-    return LecticWords(words[distinct])
+    return LecticWords(words[distinct], terms[:, distinct])
 
 
 def _incremental_intents(rows: np.ndarray, universe: AttrSet) -> np.ndarray:
@@ -156,7 +169,9 @@ def _incremental_intents(rows: np.ndarray, universe: AttrSet) -> np.ndarray:
     return fam
 
 
-def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+def _cube_intents(
+    rows: np.ndarray, sizes: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The intents inside the small rows, each once, as ``uint64`` masks.
 
     ``rows`` are the distinct object rows of an ``n``-attribute context
@@ -176,6 +191,11 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
     first.  Rows of one size go in blocks of about ``_BLOCK_WORDS`` cells,
     of cubes and of traces alike; a block's cubes are one cell-major
     ``(2^k, rows)`` array, so cell T of row r sits at ``T * rows + r``.
+
+    Every subset of T is a cell of the same cube, so the cube holds all it
+    takes to count f(T) and g(T) (`_intent_terms`); they are read at the
+    intents found here first.  Returns the masks and a ``(2, len)`` array
+    of their terms.
     """
     d, small = len(rows), len(sizes)
     planes = (rows[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
@@ -186,7 +206,7 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
     rank = np.arange(len(attr)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     attrs[row_of, rank] = attr
     planes = np.ascontiguousarray(planes.T)
-    found_rows, found_cells = [], []
+    found_rows, found_cells, found_terms = [], [], []
     for k in range(int(sizes[-1]) + 1):
         lo, hi = np.searchsorted(sizes, (k, k + 1))
         flag = np.uint16(1 << k)
@@ -207,6 +227,8 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
             hit_cell, hit_row = np.nonzero(cube == closed[:, None])
             found_rows.append(hit_row + r0)
             found_cells.append(hit_cell)
+            terms = _intent_terms(cube, closed, k)
+            found_terms.append(terms[:, hit_cell, hit_row])
     row_of = np.concatenate(found_rows)
     cell = np.concatenate(found_cells)
     bits = np.left_shift(np.uint64(1), attrs.astype(np.uint64))
@@ -214,7 +236,32 @@ def _cube_intents(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
     for t in range(int(sizes[-1])):
         has = (cell >> t) & 1 == 1
         masks[has] |= bits[row_of[has], t]
-    return masks
+    return masks, np.concatenate(found_terms, axis=1)
+
+
+def _intent_terms(cube: np.ndarray, closed: np.ndarray, k: int) -> np.ndarray:
+    """``(f, g)`` at every cell T of a block of closed ``k``-attribute cubes.
+
+    f(T) counts the intents inside T: the cells holding themselves, flag
+    aside, summed over subsets by one zeta pass per attribute.  g(T)
+    counts the ordered pairs of intents whose union is exactly T: the
+    Moebius inversion of f^2, one in-place pass per attribute.  After the
+    passes over a set J of attributes, cell T holds the ordered pairs whose
+    union lies inside T and holds all of T's attributes in J, a count
+    between 0 and f(T)^2.  With f(T) <= 2^k <= 2^14, ``int32`` cells never
+    overflow.
+    """
+    terms = np.empty((2, *cube.shape), dtype=np.int32)
+    f, g = terms
+    np.equal(cube | closed[0], closed[:, None], out=f, casting="unsafe")
+    for j in range(k):
+        halves = f.reshape(-1, 2, cube.shape[1] << j)
+        halves[:, 1] += halves[:, 0]
+    np.multiply(f, f, out=g)
+    for j in range(k):
+        halves = g.reshape(-1, 2, cube.shape[1] << j)
+        halves[:, 1] -= halves[:, 0]
+    return terms
 
 
 def _superset_meets(cube: np.ndarray, k: int) -> None:

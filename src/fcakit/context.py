@@ -82,13 +82,26 @@ def lectic_order(words: np.ndarray) -> np.ndarray:
     return np.argsort(rev.view(np.uint64).byteswap(), kind="stable")
 
 
-# _POPCOUNT8[b] is the number of set bits of the byte b.
-_POPCOUNT8 = np.array([b.bit_count() for b in range(256)], dtype=np.int64)
+# Masks of every other bit, pair and nibble, and a one in every byte.
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m)
+    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
 
 
 def popcounts(words: np.ndarray) -> np.ndarray:
-    """Attribute count of each mask of a ``uint64`` array."""
-    return _POPCOUNT8[words.view(np.uint8)].reshape(len(words), 8).sum(axis=1)
+    """Attribute count of each mask of a ``uint64`` array, as ``int64``.
+
+    The bits are summed in place by pairs, then nibbles, then bytes; the
+    product by a one in every byte adds all bytes into the top one (array
+    products wrap silently, as this needs).
+    """
+    x = words - ((words >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    x *= _H01
+    x >>= np.uint64(56)
+    return x.view(np.int64)
 
 
 class LecticWords(list):
@@ -97,12 +110,15 @@ class LecticWords(list):
 
     ``enumerate_intents`` returns one, and ``build_lattice`` and
     ``ClassIndex.sizes`` read its array instead of converting the list
-    back.  The list and the array must agree, so neither is changed.
+    back.  ``terms`` is a ``(2, len)`` array of the two lattice terms of
+    each mask, in the same order, which ``build_lattice`` hands to the
+    lattice.  The list and the arrays must agree, so none is changed.
     """
 
-    def __init__(self, words: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray, terms: np.ndarray) -> None:
         super().__init__(words.tolist())
         self.words = words
+        self.terms = terms
 
 
 @dataclass(frozen=True)

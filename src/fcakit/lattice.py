@@ -15,16 +15,27 @@ for anyone wanting a different normalization.
 
 Masks of up to 64 bits are counted on one ``uint64`` array ordered by
 attribute count, taken from the lectic word array the lattice was built
-with.  One rule (`_cubes_pay`), read from the attribute counts alone, picks
-the same one of two exact paths for both counts:
+with.  Both counts sum two terms over the intents C: f(C), the number of
+intents inside C, and g(C), the number of ordered pairs of intents whose
+union is exactly C.  The intents that ``enumerate_intents`` finds in the
+subset cube of a row of at most 14 attributes come with both terms,
+counted in that cube (``charsets._cube_intents``), and ``build_lattice``
+hands them on.  The lattice counts the others itself: the intents that lie
+only inside wider rows, and the top unless a full row of at most 14
+attributes covers it.  On a context whose rows all have at most 14
+attributes, that leaves the top alone, so neither count builds a cube or
+scans the pairs.  A lattice built from a plain list carries no terms and
+counts every intent itself.  One rule (`_cubes_pay`), read from the
+attribute counts alone, picks the same one of two exact paths for both
+counts:
 
 * the cube pass (`_cube_pair_counts`) lists the 2^|C| subsets of each
-  intent C other than the top and marks the intents among them
-  (`_cube_members`).  The cubes of a block are one cell-major array, 2^|C|
-  cells by intents, so each pass over them runs along whole rows.  Only a
-  cell that misses the member table and hashes to a crowded slot, one
-  whose member displaced another, is looked up among the displaced
-  members.  A subset-sum (zeta) transform of the marks gives f(C), the
+  intent C other than the top that carries no terms, and marks the
+  intents among them (`_cube_members`).  The cubes of a block are one
+  cell-major array, 2^|C| cells by intents, so each pass over them runs
+  along whole rows.  Only a cell that misses the member table and hashes
+  to a crowded slot, one whose member displaced another, is looked up
+  among the displaced members.  A subset-sum (zeta) transform of the marks gives f(C), the
   number of intents inside C, so C is comparable with f(C) - 1 others; a
   Moebius inversion of the squared sums over the same cube counts the
   pairs uniting to C (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier
@@ -33,7 +44,8 @@ the same one of two exact paths for both counts:
   pass, zeta transforms included, and the second reads what it kept.  The
   pass runs when every such C has at most 17 attributes, a memory bound of
   2^17 cells per cube, and the cells, each charged as 16 pairs, still come
-  to fewer than the pairs, as on lattices of many small intents;
+  to fewer than the pairs, as on lattices of many small intents or of
+  intents that carry their terms;
 * the blocked pair passes (`_pair_comparable_pairs`,
   `_pair_union_closed_pairs`) test every pair in 2-D blocks, each count
   on its own, so a caller of one index does not pay for the other.  Their
@@ -89,14 +101,18 @@ class ConceptLattice:
     The extent side of each concept is recoverable from the owning context
     via ``context.extent(ctx, intent_mask)``.  ``lectic_words``, when
     given, holds the same intents as one ``uint64`` array in the same,
-    lectic, order, and the numpy counts start from it.  The two raw pair
-    counts are computed on first use; where one pass yields both (the cube
-    pass, or the loop over masks wider than 64 bits) the lattice keeps
-    them, so linearity and distributivity share it.
+    lectic, order, and the numpy counts start from it.  ``terms``, when
+    given, is a ``(2, n)`` integer array in that order too: f(C) and g(C)
+    of each intent C that carries them (`_cube_pair_counts`), 0 and 0 for
+    the others.  The two raw pair counts are computed on first use; where
+    one pass yields both (the cube pass, or the loop over masks wider than
+    64 bits) the lattice keeps them, so linearity and distributivity share
+    it.
     """
 
     intents: tuple[AttrSet, ...]
     lectic_words: np.ndarray | None = field(default=None, compare=False, repr=False)
+    terms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intents", tuple(self.intents))
@@ -120,24 +136,62 @@ class ConceptLattice:
         return frozenset(self.intents)
 
     @cached_property
-    def _words(self) -> np.ndarray | None:
-        """The intents as a `uint64` array for the numpy counts, or None
-        when the pure-Python loops apply (masks wider than 64 bits).
+    def _by_size(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+        """``(words, sizes, terms)`` for the numpy counts, or None when the
+        pure-Python loops apply (masks wider than 64 bits).
 
-        The array is ordered by attribute count, so a proper subset never
-        comes after its supersets; the pair counts do not depend on order.
+        ``words`` holds the intents as a ``uint64`` array ordered by
+        attribute count, so a proper subset never comes after its
+        supersets; the pair counts do not depend on order.  ``sizes`` holds
+        those counts, and ``terms`` the columns of `terms` in the same order.
         """
         words = self.lectic_words
         if words is None:
             if max((m.bit_length() for m in self.intents), default=0) > 64:
                 return None
             words = np.array(self.intents, dtype=np.uint64)
-        return words[np.argsort(popcounts(words), kind="stable")]
+        sizes = popcounts(words)
+        # Sizes fit one byte, where the stable sort is a radix sort.
+        order = np.argsort(sizes.astype(np.uint8), kind="stable")
+        terms = None if self.terms is None else self.terms[:, order]
+        return words[order], sizes[order], terms
 
-    @cached_property
+    @property
+    def _words(self) -> np.ndarray | None:
+        """The words of `_by_size`, or None where it is None."""
+        by_size = self._by_size
+        return None if by_size is None else by_size[0]
+
+    @property
     def _sizes(self) -> np.ndarray:
         """The attribute count of each mask of `_words`."""
-        return popcounts(self._words)
+        return self._by_size[1]
+
+    @cached_property
+    def _split(self) -> tuple[np.uint64, int, int]:
+        """`_top_split` of `_words`."""
+        return _top_split(self._words, self._sizes)
+
+    @cached_property
+    def _cube_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+        """``(rows, sizes, carried)`` for the cube counts.
+
+        ``carried`` sums the terms the lattice was given: ``(members, f,
+        g)``, the number of members that carry theirs (the top among them
+        when it does) and the sums of their f(C) and g(C).  ``rows`` are
+        the members other than the top that carry none, of ``sizes``
+        attributes each, ordered by size: the lattice builds their cubes.
+        """
+        words, sizes, terms = self._by_size
+        _, b, _ = self._split
+        if terms is None:
+            return words[:b], sizes[:b], (0, 0, 0)
+        own = terms[0] == 0
+        members = len(words) - int(np.count_nonzero(own))
+        f, g = terms.sum(axis=1, dtype=np.int64).tolist()
+        # The top, when it carries no terms, takes the H pass instead.
+        own[b:] = False
+        return words[own], sizes[own], (members, f, g)
 
     @cached_property
     def _pair_counts(self) -> tuple[int, int] | None:
@@ -169,7 +223,7 @@ def build_lattice(intents: Sequence[AttrSet]) -> ConceptLattice:
     lattice keeps; wider ones by ``lectic_sorted``.
     """
     if isinstance(intents, LecticWords):
-        return ConceptLattice(tuple(intents), intents.words)
+        return ConceptLattice(tuple(intents), intents.words, intents.terms)
     width = max((m.bit_length() for m in intents), default=0)
     if width > 64:
         return ConceptLattice(tuple(lectic_sorted(intents, width)))
@@ -223,8 +277,8 @@ def pair_counts(lat: ConceptLattice) -> tuple[int, int] | None:
                 if a | b in member:
                     union_closed += 1
         return comparable, union_closed
-    if _cubes_pay(words, lat._sizes):
-        return _cube_pair_counts(words, lat._sizes)
+    if _cubes_pay(lat):
+        return _cube_pair_counts(lat)
     return None
 
 
@@ -273,20 +327,24 @@ def _top_split(words: np.ndarray, sizes: np.ndarray) -> tuple[np.uint64, int, in
     return top, b, h
 
 
-def _cubes_pay(words: np.ndarray, sizes: np.ndarray) -> bool:
+def _cubes_pay(lat: ConceptLattice) -> bool:
     """Whether the cube counts should replace the pair passes.
 
-    No mask other than the top may have more than ``_CUBE_MAX_BITS``
-    attributes, and ``_CELL_COST`` times the cube cells plus the cells of
-    the H pass must not exceed the n(n-1)/2 pairs.  Only the attribute
+    No mask whose cube the lattice builds (`ConceptLattice._cube_rows`)
+    may have more than ``_CUBE_MAX_BITS`` attributes, and ``_CELL_COST``
+    times their cube cells plus the cells of the H pass, when the top
+    takes one, must not exceed the n(n-1)/2 pairs.  Only the attribute
     counts are read, so a chain of wide intents is turned down before any
     cube is built.
     """
-    n = len(words)
-    _, b, h = _top_split(words, sizes)
-    if sizes[b - 1] > _CUBE_MAX_BITS:
+    n = len(lat)
+    _, b, h = lat._split
+    _, sizes, (members, _, _) = lat._cube_rows
+    if len(sizes) and sizes[-1] > _CUBE_MAX_BITS:
         return False
-    cells = int(np.sum(np.left_shift(1, sizes[:b])))
+    cells = int(np.sum(np.left_shift(1, sizes)))
+    if members + len(sizes) == n:
+        h = b  # no top, or one that carries its terms: no H pass
     return _CELL_COST * (cells + (b - h) * n) <= n * (n - 1) // 2
 
 
@@ -307,14 +365,15 @@ def _subset_cubes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cube_members(
-    words: np.ndarray, sizes: np.ndarray
+    words: np.ndarray, sizes: np.ndarray, members: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The subset cubes of a family, its members marked, in blocks.
+    """The subset cubes of some masks, the ``members`` marked, in blocks.
 
     ``words`` are distinct masks ordered by their attribute counts
-    ``sizes``.  Yields ``(k, marks)`` for each block of k-attribute masks:
-    ``marks[s, r]`` is whether cell ``s`` of the cube of row ``r`` (as laid
-    out by `_subset_cubes`) is a member.  A block holds at most
+    ``sizes``; ``members`` is a family of distinct masks.  Yields ``(k,
+    marks)`` for each block of k-attribute masks: ``marks[s, r]`` is
+    whether cell ``s`` of the cube of row ``r`` (as laid out by
+    `_subset_cubes`) is a member.  A block holds at most
     ``_BLOCK_PAIRS`` cells, or one larger cube.  Cells are built and
     searched ``_BLOCK_PAIRS`` at a time: the 2^15 cells from ``c << 15`` of
     a larger cube are its lowest 15 attributes' cube united with subset c
@@ -327,12 +386,12 @@ def _cube_members(
     hash to a ``crowded`` slot, one that displaced a member: a cell equal
     to a lost member hashes to that member's slot.
     """
-    bits = min(_TABLE_BITS, (8 * len(words)).bit_length())
-    slots = _slots(words, bits)
-    table = np.full(1 << bits, words[0])
-    table[slots] = words
-    displaced = table[slots] != words
-    lost = np.sort(words[displaced])
+    bits = min(_TABLE_BITS, (8 * len(members)).bit_length())
+    slots = _slots(members, bits)
+    table = np.full(1 << bits, members[0])
+    table[slots] = members
+    displaced = table[slots] != members
+    lost = np.sort(members[displaced])
     crowded = np.zeros(1 << bits, dtype=bool)
     crowded[slots[displaced]] = True
     for k in range(int(sizes[-1]) + 1):
@@ -360,18 +419,19 @@ def _cube_members(
 def _moebius_signs(k: int) -> np.ndarray:
     """(-1)^(k - |s|) for each cell s of a k-attribute cube.  Its last 2^j
     entries are the signs of a j-attribute cube, for every j <= k."""
-    signs = np.ones(1, dtype=np.int64)
-    for _ in range(k):
-        signs = np.concatenate((-signs, signs))
+    signs = np.empty(1 << k, dtype=np.int64)
+    signs[-1] = 1
+    for j in range(k):
+        signs[-(2 << j) : -(1 << j)] = -signs[-(1 << j) :]
     return signs
 
 
-def _cube_pair_counts(words: np.ndarray, sizes: np.ndarray) -> tuple[int, int]:
+def _cube_pair_counts(lat: ConceptLattice) -> tuple[int, int]:
     """``(comparable, union_closed)`` from the subset cube of each member.
 
-    Exact for any family of distinct masks ordered by their attribute
-    counts ``sizes``; a k-attribute member other than the top costs 2^k
-    cells, marked by `_cube_members`.
+    Exact for any family of distinct masks of up to 64 bits; a
+    k-attribute member other than the top costs 2^k cells, marked by
+    `_cube_members`, unless it carries its terms (`ConceptLattice.terms`).
 
     Over the cube of a member C other than the top, f(T) is the number of
     members inside T: the marks, summed over subsets by one in-place zeta
@@ -384,27 +444,32 @@ def _cube_pair_counts(words: np.ndarray, sizes: np.ndarray) -> tuple[int, int]:
     all in ``int64``: f(T) <= 2^k, so a block of 2^15 cells of cubes of at
     most 15 attributes sums to at most 2^15 * 2^30 = 2^45 in absolute value,
     and one 17-attribute cube to 2^17 * 2^34 = 2^51, partial sums included.
+    A member that carries f(C) and g(C) adds them alike.
 
-    The top, when a member, contains each of the other n - 1 and unites
-    with each of them.  Two other members that unite to it include one of
-    the set H (`_top_split`), so one pass of H over the other members
-    counts them: X hits, of which the Y within H count each pair twice,
-    giving X - Y/2.
+    The top, when a member that carries no terms, contains each of the
+    other n - 1 and unites with each of them.  Two other members that
+    unite to it include one of the set H (`_top_split`), so one pass of H
+    over the other members counts them: X hits, of which the Y within H
+    count each pair twice, giving X - Y/2.
     """
+    words = lat._words
     n = len(words)
-    top, b, h = _top_split(words, sizes)
-    comparable = ordered = 0
-    signs = _moebius_signs(int(sizes[b - 1]))
-    for k, marks in _cube_members(words[:b], sizes[:b]):
-        f = marks.astype(np.int64)
-        for j in range(k):
-            cells = f.reshape(-1, 2, 1 << j, f.shape[1])
-            cells[:, 1] += cells[:, 0]
-        comparable += int(np.sum(f[-1])) - f.shape[1]
-        f *= f
-        ordered += int(signs[-(1 << k) :] @ f.sum(axis=1))
-    union_closed = (ordered - b) // 2
-    if b < n:
+    top, b, h = lat._split
+    rows, sizes, (counted, comparable, ordered) = lat._cube_rows
+    if len(rows):
+        signs = _moebius_signs(int(sizes[-1]))
+        for k, marks in _cube_members(rows, sizes, words[:b]):
+            f = marks.astype(np.int64)
+            for j in range(k):
+                cells = f.reshape(-1, 2, 1 << j, f.shape[1])
+                cells[:, 1] += cells[:, 0]
+            comparable += int(np.sum(f[-1]))
+            f *= f
+            ordered += int(signs[-(1 << k) :] @ f.sum(axis=1))
+        counted += len(rows)
+    comparable -= counted
+    union_closed = (ordered - counted) // 2
+    if counted < n:  # the top, a member that carries no terms
         comparable += n - 1
         union_closed += n - 1
         heavy, others = words[h:b], words[:b]

@@ -752,9 +752,10 @@ class TestIntentKernels:
             sizes = [r.bit_count() for r in rows if r.bit_count() <= charsets._ROW_CUBE_BITS]
             if not sizes:
                 continue
-            found = charsets._cube_intents(
+            found, _ = charsets._cube_intents(
                 np.array(rows, dtype=np.uint64), np.array(sizes), ctx.n_attrs
-            ).tolist()
+            )
+            found = found.tolist()
             small = rows[: len(sizes)]
             inside = [x for x in set_intents(ctx) if any(x & r == x for r in small)]
             assert sorted(found) == sorted(inside)

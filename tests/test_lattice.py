@@ -13,7 +13,9 @@ from hypothesis import given, settings
 
 from fcakit import (
     ConceptLattice,
+    FormalContext,
     build_lattice,
+    charsets,
     distributivity,
     enumerate_intents,
     lattice,
@@ -63,8 +65,9 @@ def pair_pass(lat) -> int:
 
 
 def cube_count(lat) -> int:
-    """The cube union count, whichever path the size rule picks."""
-    return _cube_pair_counts(lat._words, popcounts(lat._words))[1]
+    """The cube union count, with any terms the lattice carries, whichever
+    path the size rule picks."""
+    return _cube_pair_counts(lat)[1]
 
 
 def comparable_pair_pass(lat) -> int:
@@ -73,12 +76,13 @@ def comparable_pair_pass(lat) -> int:
 
 
 def comparable_cube_count(lat) -> int:
-    """The cube comparable count, whichever path the size rule picks."""
-    return _cube_pair_counts(lat._words, popcounts(lat._words))[0]
+    """The cube comparable count, with any terms the lattice carries,
+    whichever path the size rule picks."""
+    return _cube_pair_counts(lat)[0]
 
 
 def cubes_pay(lat) -> bool:
-    return _cubes_pay(lat._words, popcounts(lat._words))
+    return _cubes_pay(lat)
 
 
 def random_families(with_top: bool):
@@ -402,7 +406,7 @@ class TestCubeCount:
             lat = ConceptLattice(tuple(masks))
             expected = (brute_comparable(masks), brute_union_closed(masks))
             assert (comparable_pair_pass(lat), pair_pass(lat)) == expected
-            assert _cube_pair_counts(lat._words, popcounts(lat._words)) == expected
+            assert _cube_pair_counts(lat) == expected
 
     def test_moebius_signs_nest(self):
         signs = _moebius_signs(17).tolist()
@@ -486,17 +490,17 @@ class TestCubeCount:
         # turned down from the attribute counts, before any cube is built.
         lat = build_lattice(enumerate_intents(staircase_context(60)))
         assert len(lat) == 60
-        words, sizes = lat._words, popcounts(lat._words)
+        assert lat._sizes.tolist() == sorted(m.bit_count() for m in lat.intents)
         tracemalloc.start()
         try:
-            pays = _cubes_pay(words, sizes)
+            pays = _cubes_pay(lat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not pays
         assert peak < 1 << 12  # a 16-attribute cube alone takes 512 KB
 
-        def no_cubes(words, sizes):
+        def no_cubes(words, sizes, members):
             raise AssertionError("cube built for a wide chain")
 
         monkeypatch.setattr(lattice, "_cube_members", no_cubes)
@@ -531,23 +535,27 @@ class TestCubeLayout:
 
 class TestOnePass:
     """Where the cubes pay, both indices of a lattice share one cube pass;
-    where they do not, each index runs only its own pair pass."""
+    where they do not, each index runs only its own pair pass.  A lattice
+    whose intents other than the top all carry their terms builds no cube
+    and runs no pair pass."""
 
     @staticmethod
     def count_cube_passes(monkeypatch) -> list[int]:
         calls = []
         real = lattice._cube_members
 
-        def counting(words, sizes):
+        def counting(words, sizes, members):
             calls.append(len(words))
-            return real(words, sizes)
+            return real(words, sizes, members)
 
         monkeypatch.setattr(lattice, "_cube_members", counting)
         return calls
 
     def test_indices_share_one_cube_pass(self, monkeypatch):
         calls = self.count_cube_passes(monkeypatch)
-        lat = build_lattice(enumerate_intents(realistic_context()))
+        # A plain list carries no terms, so the lattice builds every cube.
+        lat = build_lattice(list(enumerate_intents(realistic_context())))
+        assert lat.terms is None
         assert cubes_pay(lat)
         pairs = pair_total(lat)
         assert linearity(lat) == count_comparable_pairs(lat) / pairs
@@ -555,22 +563,34 @@ class TestOnePass:
         assert len(calls) == 1
 
     def test_indices_command_runs_one_cube_pass(self, monkeypatch, tmp_path, capsys):
+        # Every row of the realistic context has at most 14 attributes, so
+        # the row cubes of the intents count both indices: the command
+        # builds no lattice cube, and only the top takes its H pass.
         ctx = realistic_context()
+        assert max(r.bit_count() for r in ctx.rows) <= charsets._ROW_CUBE_BITS
         path = tmp_path / "realistic.cxt"
         path.write_text(serialize_burmeister(ctx))
         calls = self.count_cube_passes(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("pair pass on a lattice whose intents carry their terms")
+
+        monkeypatch.setattr(lattice, "_pair_comparable_pairs", refuse)
+        monkeypatch.setattr(lattice, "_pair_union_closed_pairs", refuse)
         assert main(["indices", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert len(calls) == 1
-        lat = build_lattice(enumerate_intents(ctx))
+        assert calls == []
+        monkeypatch.undo()
+        lat = build_lattice(list(enumerate_intents(ctx)))
         assert report["concepts"] == len(lat) == 1658
         assert report["linearity"] == linearity(lat)
         assert report["distributivity"] == distributivity(lat)
 
     @pytest.mark.parametrize("index", ["linearity", "distributivity"])
     def test_pair_path_runs_one_pair_pass_per_index(self, monkeypatch, index):
-        # The Boolean lattice on 9 attributes does not pay for its cubes.
-        lat = build_lattice(enumerate_intents(contranominal_context(9)))
+        # The Boolean lattice on 9 attributes does not pay for its cubes; a
+        # plain list carries no terms.
+        lat = build_lattice(list(enumerate_intents(contranominal_context(9))))
         assert not cubes_pay(lat)
         comparable = brute_comparable(lat.intents)
 
@@ -585,6 +605,212 @@ class TestOnePass:
         monkeypatch.setattr(lattice, other, refuse)
         expected = {"linearity": comparable, "distributivity": pair_total(lat)}[index]
         assert getattr(lattice, index)(lat) == expected / pair_total(lat)
+
+
+def brute_terms(intents, c) -> tuple[int, int]:
+    """f(C), the intents inside C, and g(C), the ordered pairs of intents
+    whose union is exactly C."""
+    inside = [a for a in intents if a & c == a]
+    return len(inside), sum(1 for a in inside for b in inside if a | b == c)
+
+
+def terms_context(rows, width: int) -> FormalContext:
+    return FormalContext(
+        tuple(f"g{k}" for k in range(len(rows))),
+        tuple(f"m{k}" for k in range(width)),
+        tuple(rows),
+    )
+
+
+def wide_row_contexts():
+    """Contexts with two rows of 15-17 attributes among small ones.  The
+    wide rows meet in 6 attributes inside a small row, so the incremental
+    loop finds that meet as well as the cubes; the wide rows themselves lie
+    inside no small row, so the lattice builds their cubes."""
+    rnd = random.Random(1517)
+    out = []
+    for wide_size in (15, 16, 17):
+        for spare in (0, 2, 4):
+            width = 2 * wide_size - 6 + spare
+            attrs = list(range(width))
+            first = set(rnd.sample(attrs, wide_size))
+            meet = set(rnd.sample(sorted(first), 6))
+            outside = [a for a in attrs if a not in first]
+            second = meet | set(rnd.sample(outside, wide_size - 6))
+            wide = [sum(1 << a for a in first), sum(1 << a for a in second)]
+            small = [sum(1 << a for a in meet | {rnd.choice(outside)})]
+            small += [
+                sum(1 << a for a in rnd.sample(attrs, rnd.randint(0, 7)))
+                for _ in range(rnd.randint(4, 10))
+            ]
+            rows = wide + small + [wide[0]]
+            rnd.shuffle(rows)
+            out.append(terms_context(rows, width))
+    return out
+
+
+class TestCarriedTerms:
+    """f(C) and g(C), as the row cubes of the intents carry them, against
+    brute force, and the indices they give against a lattice built from a
+    plain list."""
+
+    @staticmethod
+    def check(ctx) -> ConceptLattice:
+        intents = enumerate_intents(ctx)
+        small = [r for r in ctx.rows if r.bit_count() <= charsets._ROW_CUBE_BITS]
+        assert intents.terms.shape == (2, len(intents))
+        for c, f, g in zip(intents, *intents.terms.tolist()):
+            if any(c & r == c for r in small):
+                assert (f, g) == brute_terms(intents, c), c
+            else:
+                assert (f, g) == (0, 0), c
+        lat = build_lattice(intents)
+        from_list = build_lattice(list(intents))
+        assert from_list.terms is None
+        counts = (count_comparable_pairs(lat), count_union_closed_pairs(lat))
+        assert counts == (count_comparable_pairs(from_list), count_union_closed_pairs(from_list))
+        if len(intents) <= 600:
+            assert counts == (brute_comparable(intents), brute_union_closed(intents))
+        assert (linearity(lat), distributivity(lat)) == (
+            linearity(from_list),
+            distributivity(from_list),
+        )
+        if len(lat) > 1:
+            assert cube_count(lat) == pair_pass(lat) == counts[1]
+            assert comparable_cube_count(lat) == comparable_pair_pass(lat) == counts[0]
+        return lat
+
+    def test_fuzz_corpus(self):
+        for ctx in fuzz_contexts(300, max_objects=10, max_attrs=12, seed=0x7E4):
+            self.check(ctx)
+
+    def test_cubes_carry_each_intent_once(self):
+        # The cubes' own output: each intent inside a small row once, with
+        # the terms of the whole family.
+        for ctx in fuzz_contexts(100, max_objects=10, max_attrs=12, seed=0x7E5):
+            rows = sorted(set(ctx.rows), key=int.bit_count)
+            if not rows:
+                continue
+            intents = enumerate_intents(ctx)
+            found, terms = charsets._cube_intents(
+                np.array(rows, dtype=np.uint64),
+                np.array([r.bit_count() for r in rows]),
+                ctx.n_attrs,
+            )
+            found = found.tolist()
+            assert len(found) == len(set(found))
+            for c, f, g in zip(found, *terms.tolist()):
+                assert (f, g) == brute_terms(intents, c)
+
+    def test_wide_rows_take_the_lattice_cubes(self, monkeypatch):
+        calls = TestOnePass.count_cube_passes(monkeypatch)
+        for ctx in wide_row_contexts():
+            assert max(r.bit_count() for r in ctx.rows) > charsets._ROW_CUBE_BITS
+            lat = self.check(ctx)
+            rows, _, _ = lat._cube_rows
+            assert len(rows) > 0
+            assert max(popcounts(rows)) > charsets._ROW_CUBE_BITS
+        assert calls
+
+    def test_rule_takes_the_cube_of_a_wide_row(self, monkeypatch):
+        # Thousands of intents inside small rows and one 15-attribute row,
+        # an intent inside no small row: the rule takes its cube, the one
+        # cube the lattice builds, next to the carried terms.
+        rnd = random.Random(24)
+        rows = [sum(1 << a for a in rnd.sample(range(24), rnd.randint(4, 10))) for _ in range(100)]
+        rows.append(sum(1 << a for a in rnd.sample(range(24), 15)))
+        intents = enumerate_intents(terms_context(rows, 24))
+        for at in [*rnd.sample(range(len(intents)), 40), len(intents) - 1]:
+            c = intents[at]
+            if any(c & r == c for r in rows[:-1]):
+                assert tuple(intents.terms[:, at].tolist()) == brute_terms(intents, c)
+        lat = build_lattice(intents)
+        assert popcounts(lat._cube_rows[0]).tolist() == [15]
+        assert cubes_pay(lat)
+        calls = TestOnePass.count_cube_passes(monkeypatch)
+        counts = (count_comparable_pairs(lat), count_union_closed_pairs(lat))
+        assert calls == [1]
+        assert counts == (comparable_pair_pass(lat), pair_pass(lat))
+        from_list = build_lattice(list(intents))
+        assert counts == (count_comparable_pairs(from_list), count_union_closed_pairs(from_list))
+
+    def test_meet_of_wide_rows_keeps_the_cube_terms(self):
+        # The incremental loop and a small row's cube both find the meet of
+        # the two wide rows; the merge keeps the copy that carries terms.
+        for ctx in wide_row_contexts():
+            wide = [r for r in ctx.rows if r.bit_count() > charsets._ROW_CUBE_BITS]
+            meet = wide[0]
+            for r in wide:
+                meet &= r
+            intents = enumerate_intents(ctx)
+            at = intents.index(meet)
+            assert any(meet & r == meet for r in ctx.rows if r not in wide)
+            assert tuple(intents.terms[:, at].tolist()) == brute_terms(intents, meet)
+
+    @pytest.mark.parametrize("width", [1, 5, 10, 14])
+    def test_full_row_covers_the_top(self, monkeypatch, width):
+        # With a full row of at most 14 attributes the top carries its own
+        # terms: no lattice cube, no H pass and no pair pass run.
+        rnd = random.Random(width)
+        full = (1 << width) - 1
+        rows = [rnd.getrandbits(width) for _ in range(12)] + [full]
+        ctx = terms_context(rows, width)
+        intents = enumerate_intents(ctx)
+        assert intents[-1] == full
+        assert tuple(intents.terms[:, -1].tolist()) == brute_terms(intents, full)
+        lat = build_lattice(intents)
+        assert lat._cube_rows[2][0] == len(lat)
+
+        def refuse(*args):
+            raise AssertionError("lattice pass on a lattice whose intents all carry terms")
+
+        for name in ("_cube_members", "_row_blocks"):
+            monkeypatch.setattr(lattice, name, refuse)
+        counts = (count_comparable_pairs(lat), count_union_closed_pairs(lat))
+        assert counts == (brute_comparable(intents), brute_union_closed(intents))
+        monkeypatch.undo()
+        self.check(ctx)
+
+    def test_boolean_row_cube_at_the_bound(self):
+        # Every subset of a full 14-attribute row is an intent, so its cube
+        # holds the largest terms a row cube can: f(C) = 2^|C| up to 2^14,
+        # and g(C) = 3^|C|, each attribute of C in the first, the second or
+        # both of a pair.
+        k = charsets._ROW_CUBE_BITS
+        ctx = contranominal_context(k)
+        ctx = terms_context(ctx.rows + (ctx.attribute_universe,), k)
+        intents = enumerate_intents(ctx)
+        assert len(intents) == 1 << k
+        sizes = [c.bit_count() for c in intents]
+        assert intents.terms.tolist() == [[2**s for s in sizes], [3**s for s in sizes]]
+        n = len(intents)
+        lat = build_lattice(intents)
+        assert count_union_closed_pairs(lat) == n * (n - 1) // 2
+        assert count_comparable_pairs(lat) == 3**k - n
+
+    @pytest.mark.parametrize(
+        "rows, width",
+        [
+            ((0b0110, 0b0011, 0b0110, 0b0011, 0b0110), 4),
+            ((), 4),
+            ((), 0),
+            ((0, 0), 0),
+            ((1, 0, 1), 1),
+            ((0,), 1),
+            ((1,), 1),
+        ],
+        ids=[
+            "duplicate-rows",
+            "no-objects",
+            "no-objects-no-attributes",
+            "no-attributes",
+            "one-attribute",
+            "one-attribute-empty-row",
+            "one-attribute-full-row",
+        ],
+    )
+    def test_degenerate_shapes(self, rows, width):
+        self.check(terms_context(rows, width))
 
 
 class TestPairBlocks:
