@@ -306,36 +306,43 @@ class _WordRules:
 
     One preclosure round tests every rule at once and ORs together the
     closures of all that fire; ``preclose`` stops after the first round that
-    adds a ``forbidden`` bit, returning the set as it stands then.
+    adds a ``forbidden`` bit, returning the set as it stands then.  ``add``
+    keeps ``_premises`` and ``_closures`` as views of the rules found so
+    far, and ``preclose`` compares Python ints, making one ``np.uint64``
+    per round.
     """
 
     def __init__(self) -> None:
-        self._premises = np.empty(64, dtype=np.uint64)
-        self._closures = np.empty(64, dtype=np.uint64)
-        self._count = 0
+        self._premise_store = np.empty(64, dtype=np.uint64)
+        self._closure_store = np.empty(64, dtype=np.uint64)
+        self._premises = self._premise_store[:0]
+        self._closures = self._closure_store[:0]
 
     def add(self, premise: int, premise_closure: int) -> None:
-        if self._count == len(self._premises):
-            self._premises = np.resize(self._premises, 2 * self._count)
-            self._closures = np.resize(self._closures, 2 * self._count)
-        self._premises[self._count] = premise
-        self._closures[self._count] = premise_closure
-        self._count += 1
+        count = len(self._premises)
+        if count == len(self._premise_store):
+            self._premise_store = np.resize(self._premise_store, 2 * count)
+            self._closure_store = np.resize(self._closure_store, 2 * count)
+        self._premise_store[count] = premise
+        self._closure_store[count] = premise_closure
+        self._premises = self._premise_store[: count + 1]
+        self._closures = self._closure_store[: count + 1]
 
     def preclose(self, x: int, forbidden: int) -> int:
-        if not self._count:
+        p, c = self._premises, self._closures
+        if not len(p):
             return x
-        p = self._premises[: self._count]
-        c = self._closures[: self._count]
-        w = np.uint64(x)
         while True:
-            y = np.bitwise_or.reduce(c, where=(p & ~w) == 0, initial=w)
-            if y == w or int(y) & forbidden:
-                return int(y)
-            w = y
+            w = np.uint64(x)
+            y = int(np.bitwise_or.reduce(c, where=(p | w) == w, initial=w))
+            if y == x or y & forbidden:
+                return y
+            x = y
 
 
-def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
+def _canonical_basis_scan(
+    ctx: FormalContext, intents: list[AttrSet] | None = None
+) -> list[tuple[AttrSet, AttrSet]]:
     """Lectic walk of the quasi-closed sets, collecting basis premises.
 
     The intents together with the premises of the minimum-cardinality
@@ -344,6 +351,13 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     found so far, because every premise properly contained in the current
     candidate is lectically smaller.  Returns ``(premise, premise_closure)``
     pairs in lectic order.
+
+    Every set the walk visits is an intent or a pseudo-intent, and it visits
+    them all, in lectic order.  So with ``intents``, the lectic list
+    ``enumerate_intents(ctx)`` returned, a visited set equal to the next
+    intent of that list is its own closure, and any other is a
+    pseudo-intent: ``closure`` runs for the pseudo-intents alone.  Without
+    it, every visited set is closed.
 
     Each candidate is preclosed: extended to the smallest superset ``y``
     such that every found premise properly inside ``y`` has its closure in
@@ -384,22 +398,26 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
 
+    known = intents or ()
+    # known[at] is the first intent the walk has not reached yet.
+    at = 0
     a = 0
     while True:
-        ca = closure(ctx, a)
-        if ca != a:
-            found.append((a, ca))
-            rules.add(a, ca)
-        if a == full:
-            break
-        work = a
-        for i in range(n - 1, -1, -1):
+        if at < len(known) and known[at] == a:
+            at += 1
+        else:
+            ca = closure(ctx, a)
+            if ca != a:
+                found.append((a, ca))
+                rules.add(a, ca)
+        # The candidates take the attributes a lacks, last first; the ones
+        # before the current attribute form its forbidden mask.
+        forbidden = full & ~a
+        while forbidden:
+            i = forbidden.bit_length() - 1
             bit = 1 << i
-            if work & bit:
-                work ^= bit
-                continue
-            x = work | bit
-            forbidden = ~work & (bit - 1)
+            forbidden ^= bit
+            x = (a & (bit - 1)) | bit
             x_i, y_i = failed[i]
             if x_i & x == x_i and y_i & forbidden:
                 continue
@@ -413,9 +431,15 @@ def _canonical_basis_scan(ctx: FormalContext) -> list[tuple[AttrSet, AttrSet]]:
     return found
 
 
-def enumerate_pseudo_intents(ctx: FormalContext) -> list[AttrSet]:
-    """The premises of the canonical implication basis, in lectic order."""
-    return [p for p, _ in _canonical_basis_scan(ctx)]
+def enumerate_pseudo_intents(
+    ctx: FormalContext, intents: list[AttrSet] | None = None
+) -> list[AttrSet]:
+    """The premises of the canonical implication basis, in lectic order.
+
+    ``intents``, when given, must be the list ``enumerate_intents(ctx)``
+    returned; the scan then closes only the pseudo-intents it visits.
+    """
+    return [p for p, _ in _canonical_basis_scan(ctx, intents)]
 
 
 def dg_basis(ctx: FormalContext) -> list[Implication]:
@@ -708,7 +732,8 @@ class ClassIndex:
 
     Each is computed on first use and then kept, so a report or a trial
     pays only for what it reads, and only once.  Passkeys and proper
-    premises share the one key family and its closures.  The layer
+    premises share the one key family and its closures, and the basis scan
+    takes the intents, so that it closes only the pseudo-intents.  The layer
     functions are looked up by module name at call time, so a wrapper
     installed over one of them sees every call.
     """
@@ -722,7 +747,7 @@ class ClassIndex:
 
     @cached_property
     def pseudo_intents(self) -> list[AttrSet]:
-        return enumerate_pseudo_intents(self.ctx)
+        return enumerate_pseudo_intents(self.ctx, self.intents)
 
     @cached_property
     def keys(self) -> _Keys:

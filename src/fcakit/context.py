@@ -236,9 +236,23 @@ def extent(ctx: FormalContext, attrs: AttrSet) -> ObjSet:
 
 
 def intent_of(ctx: FormalContext, objs: ObjSet) -> AttrSet:
-    """Attributes shared by every object of ``objs`` (all of M when empty)."""
+    """Attributes shared by every object of ``objs`` (all of M when empty).
+
+    An extent of fewer objects than the context has attributes starts from
+    M and ANDs in the row of each of its objects: one big-int AND per
+    object instead of one subset test per column.  Larger extents test the
+    columns.
+    """
     if objs >> ctx.n_objects:
         raise ValueError("object mask exceeds context capacity")
+    if objs.bit_count() < ctx.n_attrs:
+        out = ctx.attribute_universe
+        rows = ctx.rows
+        while objs and out:
+            low = objs & -objs
+            out &= rows[low.bit_length() - 1]
+            objs ^= low
+        return out
     out = 0
     for j, col in enumerate(ctx.columns):
         if col & objs == objs:

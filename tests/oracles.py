@@ -7,7 +7,9 @@ decide the flags of one subset from the definitions, through ``closure``
 and ``extent``.  ``build_descriptions_context`` and ``group_descriptions``
 walk the whole power set, the twin of ``summarize_descriptions``.
 ``columns`` transposes a context bit by bit, the twin of
-``FormalContext.columns``.
+``FormalContext.columns``, and ``intent_of`` tests one cross at a time, the
+twin of ``fcakit.context.intent_of``, which every ``closure`` the oracles
+take goes through.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def columns(ctx: FormalContext) -> tuple[int, ...]:
         for j in iter_bits(row):
             cols[j] |= bit
     return tuple(cols)
+
+
+def intent_of(ctx: FormalContext, objs: int) -> AttrSet:
+    """Attribute j is in the intent iff every object of ``objs`` has it."""
+    return sum(
+        1 << j
+        for j in range(ctx.n_attrs)
+        if all(ctx.rows[g] >> j & 1 for g in iter_bits(objs))
+    )
 
 
 def iter_lectic_masks(width: int) -> Iterator[int]:

@@ -534,6 +534,69 @@ class TestBasisScanKernels:
         assert _canonical_basis_scan(ctx) == scalar_basis_scan(ctx)
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that logs each call's arguments."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestPseudoIntentsFromIntents:
+    """``enumerate_pseudo_intents(ctx, intents)``: the same list, with
+    ``closure`` run for the pseudo-intents alone."""
+
+    def assert_same_scan(self, monkeypatch, ctx: FormalContext) -> list[int]:
+        closures = count_calls(monkeypatch, charsets, "closure")
+        intents = enumerate_intents(ctx)
+        plain = enumerate_pseudo_intents(ctx)
+        assert len(closures) == len(intents) + len(plain)
+        closures.clear()
+        given = enumerate_pseudo_intents(ctx, intents)
+        assert given == plain
+        assert [attrs for _, attrs in closures] == plain
+        assert _canonical_basis_scan(ctx, intents) == scalar_basis_scan(ctx)
+        return plain
+
+    def test_fuzz_corpus_against_oracle(self, monkeypatch):
+        for ctx in acceptance_corpus()[::2]:
+            pseudo = self.assert_same_scan(monkeypatch, ctx)
+            assert pseudo == brute_force_class(ctx, "pseudo_intent")
+
+    def test_realistic_scale(self, monkeypatch):
+        # ``test_realistic_scale_families_match_oracle`` holds this context's
+        # ``ClassIndex`` families, which pass the intents, to the oracle.
+        self.assert_same_scan(monkeypatch, realistic_context())
+
+    @pytest.mark.parametrize("width", [64, 65, 70])
+    def test_both_rule_stores(self, monkeypatch, width):
+        # Up to 64 attributes the scan keeps its rules in ``_WordRules``,
+        # above that in ``_ScalarRules``.
+        ctx = wide_context(width, 6, seed=width)
+        stores = count_calls(monkeypatch, charsets, "_WordRules" if width <= 64 else "_ScalarRules")
+        pseudo = self.assert_same_scan(monkeypatch, ctx)
+        assert len(stores) == 3 and pseudo
+        assert any(p >> 63 for p in pseudo)
+
+    def test_class_index_closes_only_the_pseudo_intents(self, monkeypatch):
+        ctx = realistic_context()
+        want = enumerate_pseudo_intents(ctx)
+        intent_calls = count_calls(monkeypatch, charsets, "enumerate_intents")
+        closures = count_calls(monkeypatch, charsets, "closure")
+        index = index_classes(ctx)
+        index.intents
+        pseudo = index.pseudo_intents
+        assert pseudo == want
+        assert len(intent_calls) == 1
+        assert [attrs for _, attrs in closures] == pseudo
+        assert pseudo
+
+
 def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]], list]:
     """Run the scan with both stores logging every call made to them.
 

@@ -272,9 +272,9 @@ class TestRandomize:
         calls = []
         real = charsets.enumerate_pseudo_intents
 
-        def counting(ctx):
+        def counting(ctx, *args):
             calls.append(ctx)
-            return real(ctx)
+            return real(ctx, *args)
 
         monkeypatch.setattr(charsets, "enumerate_pseudo_intents", counting)
         argv = ("randomize", str(TOY_CXT), "--strategy", "column", "--trials", "2")

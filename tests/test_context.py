@@ -36,11 +36,13 @@ from conftest import (
     contexts,
     contranominal_context,
     ctx_of,
+    fuzz_contexts,
     grouped_demo_context,
     nominal_context,
     realistic_context,
 )
 from oracles import columns, iter_lectic_masks
+from oracles import intent_of as literal_intent_of
 
 
 class TestFormalContext:
@@ -169,6 +171,86 @@ class TestPrimeOperators:
         if b1 & b2 == b1:
             e1, e2 = extent(ctx, b1), extent(ctx, b2)
             assert e2 & e1 == e2
+
+
+def random_context(n_objects: int, n_attrs: int, seed: int) -> FormalContext:
+    rnd = random.Random(seed)
+    return FormalContext(
+        tuple(f"g{k}" for k in range(n_objects)),
+        tuple(f"m{k}" for k in range(n_attrs)),
+        tuple(rnd.getrandbits(n_attrs) | rnd.getrandbits(n_attrs) for _ in range(n_objects)),
+    )
+
+
+def sized_extents(ctx: FormalContext, sizes: list[int], seed: int) -> list[int]:
+    """Five random object sets of each size in ``sizes``."""
+    rnd = random.Random(seed)
+    objs = range(ctx.n_objects)
+    return [sum(1 << g for g in rnd.sample(objs, k)) for k in sizes for _ in range(5)]
+
+
+class TestIntentOfPaths:
+    """``intent_of`` ANDs the rows of an extent of fewer objects than the
+    context has attributes and tests the columns otherwise; both paths
+    against the literal twin, which tests one cross at a time."""
+
+    @staticmethod
+    def assert_both_paths(ctx: FormalContext, extents) -> tuple[int, int]:
+        """Check every extent; count those taking the row and the column path."""
+        by_rows = by_columns = 0
+        for objs in extents:
+            assert intent_of(ctx, objs) == literal_intent_of(ctx, objs), objs
+            if objs.bit_count() < ctx.n_attrs:
+                by_rows += 1
+            else:
+                by_columns += 1
+        return by_rows, by_columns
+
+    def test_fuzz_corpus(self):
+        by_rows = by_columns = 0
+        for ctx in fuzz_contexts(200, max_objects=8, max_attrs=10, seed=0x1A7):
+            r, c = self.assert_both_paths(ctx, range(1 << ctx.n_objects))
+            by_rows, by_columns = by_rows + r, by_columns + c
+        assert by_rows > 1000 and by_columns > 1000
+
+    def test_realistic_context(self):
+        ctx = realistic_context()
+        rnd = random.Random(16)
+        extents = sized_extents(ctx, [0, 1, 2, 5, 15, 16, 17, 40, 403], seed=16)
+        for _ in range(300):
+            attrs = rnd.sample(range(16), rnd.randint(0, 4))
+            extents.append(extent(ctx, sum(1 << j for j in attrs)))
+        by_rows, by_columns = self.assert_both_paths(ctx, extents)
+        assert by_rows > 50 and by_columns > 50
+
+    @pytest.mark.parametrize("width", [65, 70, 130])
+    def test_wider_than_64_attributes(self, width):
+        ctx = random_context(2 * width, width, seed=width)
+        sizes = [0, 1, 2, width - 1, width, width + 1, 2 * width]
+        by_rows, by_columns = self.assert_both_paths(ctx, sized_extents(ctx, sizes, seed=width))
+        assert by_rows and by_columns
+
+    @pytest.mark.parametrize("width", [1, 5, 24, 70])
+    def test_extent_of_exactly_n_objects_tests_the_columns(self, width):
+        # An extent of n objects, n the attribute count, is the smallest that
+        # tests the columns; one object fewer ANDs the rows.  Only the column
+        # path reads (and caches) the transposed context.
+        for size, reads_columns in ((width - 1, False), (width, True)):
+            ctx = random_context(width + 3, width, seed=size)
+            objs = (1 << size) - 1
+            assert intent_of(ctx, objs) == literal_intent_of(ctx, objs)
+            assert ("columns" in vars(ctx)) == reads_columns
+
+    @pytest.mark.parametrize("width", [1, 5, 64, 70])
+    def test_empty_extent_is_every_attribute(self, width):
+        for n_objects in (0, 1, 30):
+            ctx = random_context(n_objects, width, seed=n_objects)
+            assert intent_of(ctx, 0) == ctx.attribute_universe == literal_intent_of(ctx, 0)
+
+    def test_zero_attribute_context(self):
+        ctx = random_context(6, 0, seed=0)
+        for objs in range(1 << 6):
+            assert intent_of(ctx, objs) == 0 == literal_intent_of(ctx, objs)
 
 
 class TestBurmeister:
