@@ -49,7 +49,7 @@ from .context import (
 )
 
 # The word key search builds candidates, and closes keys, in blocks of about
-# this many extent words (256 KB per array), as the lattice pair passes do;
+# this many extent words (256 KB per array), as the lattice pair pass does;
 # the intent cubes and their row traces go in blocks of this many cells.
 _BLOCK_WORDS = 1 << 15
 
@@ -184,13 +184,14 @@ def _cube_intents(
     planes (one 0/1 ``uint16`` per row, for each attribute).  The cube of r
     starts at all ones, and the cell of each trace is set to the trace; the
     k-th bit of a cell is a flag, cleared in the cells of the traces of the
-    small rows before r.  One AND pass per attribute then leaves in cell T
-    the meet of all cells above it: the intersection of the traces that
-    contain T, and a clear flag when T lies inside an earlier small row.
-    Cell T holds exactly T with its flag set when T is an intent found here
-    first.  Rows of one size go in blocks of about ``_BLOCK_WORDS`` cells,
-    of cubes and of traces alike; a block's cubes are one cell-major
-    ``(2^k, rows)`` array, so cell T of row r sits at ``T * rows + r``.
+    small rows before r.  An AND fold over supersets (``lattice.fold_cube``)
+    then leaves in cell T the meet of all cells above it: the intersection
+    of the traces that contain T, and a clear flag when T lies inside an
+    earlier small row.  Cell T holds exactly T with its flag set when T is
+    an intent found here first.  Rows of one size go in blocks of about
+    ``_BLOCK_WORDS`` cells, of cubes and of traces alike; a block's cubes
+    are one cell-major ``(2^k, rows)`` array, so cell T of row r sits at
+    ``T * rows + r``.
 
     Every subset of T is a cell of the same cube, so the cube holds all it
     takes to count f(T) and g(T) (`_intent_terms`); they are read at the
@@ -223,11 +224,11 @@ def _cube_intents(
             cells[at] = trace | flag
             earlier = np.arange(d) < np.arange(r0, r1)[:, None]
             cells[at[earlier]] = trace[earlier]
-            _superset_meets(cube, k)
+            lattice.fold_cube(cube, np.bitwise_and, supersets=True)
             hit_cell, hit_row = np.nonzero(cube == closed[:, None])
             found_rows.append(hit_row + r0)
             found_cells.append(hit_cell)
-            terms = _intent_terms(cube, closed, k)
+            terms = _intent_terms(cube, closed)
             found_terms.append(terms[:, hit_cell, hit_row])
     row_of = np.concatenate(found_rows)
     cell = np.concatenate(found_cells)
@@ -239,40 +240,24 @@ def _cube_intents(
     return masks, np.concatenate(found_terms, axis=1)
 
 
-def _intent_terms(cube: np.ndarray, closed: np.ndarray, k: int) -> np.ndarray:
-    """``(f, g)`` at every cell T of a block of closed ``k``-attribute cubes.
+def _intent_terms(cube: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """``(f, g)`` at every cell T of a block of closed k-attribute cubes.
 
     f(T) counts the intents inside T: the cells holding themselves, flag
-    aside, summed over subsets by one zeta pass per attribute.  g(T)
-    counts the ordered pairs of intents whose union is exactly T: the
-    Moebius inversion of f^2, one in-place pass per attribute.  After the
-    passes over a set J of attributes, cell T holds the ordered pairs whose
-    union lies inside T and holds all of T's attributes in J, a count
-    between 0 and f(T)^2.  With f(T) <= 2^k <= 2^14, ``int32`` cells never
-    overflow.
+    aside, summed over subsets (``lattice.fold_cube``).  g(T) counts the
+    ordered pairs of intents whose union is exactly T: the Moebius
+    inversion of f^2, folded in place.  Partway through that fold, cell T
+    holds a count between 0 and f(T)^2, the ordered pairs whose union lies
+    inside T and holds the attributes of T folded so far.  With
+    f(T) <= 2^k <= 2^14, ``int32`` cells never overflow.
     """
     terms = np.empty((2, *cube.shape), dtype=np.int32)
     f, g = terms
     np.equal(cube | closed[0], closed[:, None], out=f, casting="unsafe")
-    for j in range(k):
-        halves = f.reshape(-1, 2, cube.shape[1] << j)
-        halves[:, 1] += halves[:, 0]
+    lattice.fold_cube(f, np.add)
     np.multiply(f, f, out=g)
-    for j in range(k):
-        halves = g.reshape(-1, 2, cube.shape[1] << j)
-        halves[:, 1] -= halves[:, 0]
+    lattice.fold_cube(g, np.subtract)
     return terms
-
-
-def _superset_meets(cube: np.ndarray, k: int) -> None:
-    """In place, AND into each cell of ``cube`` (``2^k`` cells by any
-    number of rows, ``uint16``) the cells of all its supersets in the same
-    row: one pass per attribute ANDs each run of cells with it into the
-    run without it, ``2^j`` times the rows contiguous cells for the j-th
-    attribute."""
-    for j in range(k):
-        halves = cube.reshape(-1, 2, cube.shape[1] << j)
-        halves[:, 0] &= halves[:, 1]
 
 
 class _ScalarRules:
@@ -341,7 +326,7 @@ class _WordRules:
 
 
 def _canonical_basis_scan(
-    ctx: FormalContext, intents: list[AttrSet] | None = None
+    ctx: FormalContext, intents: list[AttrSet]
 ) -> list[tuple[AttrSet, AttrSet]]:
     """Lectic walk of the quasi-closed sets, collecting basis premises.
 
@@ -353,11 +338,10 @@ def _canonical_basis_scan(
     pairs in lectic order.
 
     Every set the walk visits is an intent or a pseudo-intent, and it visits
-    them all, in lectic order.  So with ``intents``, the lectic list
+    them all, in lectic order.  So, as ``intents`` is the lectic list
     ``enumerate_intents(ctx)`` returned, a visited set equal to the next
     intent of that list is its own closure, and any other is a
-    pseudo-intent: ``closure`` runs for the pseudo-intents alone.  Without
-    it, every visited set is closed.
+    pseudo-intent: ``closure`` runs for the pseudo-intents alone.
 
     Each candidate is preclosed: extended to the smallest superset ``y``
     such that every found premise properly inside ``y`` has its closure in
@@ -398,12 +382,11 @@ def _canonical_basis_scan(
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
 
-    known = intents or ()
-    # known[at] is the first intent the walk has not reached yet.
+    # intents[at] is the first intent the walk has not reached yet.
     at = 0
     a = 0
     while True:
-        if at < len(known) and known[at] == a:
+        if at < len(intents) and intents[at] == a:
             at += 1
         else:
             ca = closure(ctx, a)
@@ -437,14 +420,17 @@ def enumerate_pseudo_intents(
     """The premises of the canonical implication basis, in lectic order.
 
     ``intents``, when given, must be the list ``enumerate_intents(ctx)``
-    returned; the scan then closes only the pseudo-intents it visits.
+    returned; the scan takes it to close only the pseudo-intents it visits.
     """
+    if intents is None:
+        intents = enumerate_intents(ctx)
     return [p for p, _ in _canonical_basis_scan(ctx, intents)]
 
 
 def dg_basis(ctx: FormalContext) -> list[Implication]:
     """The minimum-cardinality implication basis of the context."""
-    return [Implication(p, c & ~p) for p, c in _canonical_basis_scan(ctx)]
+    scan = _canonical_basis_scan(ctx, enumerate_intents(ctx))
+    return [Implication(p, c & ~p) for p, c in scan]
 
 
 def implication_closure(b: AttrSet, basis: Iterable[Implication]) -> AttrSet:
@@ -737,6 +723,9 @@ class ClassIndex:
     functions are looked up by module name at call time, so a wrapper
     installed over one of them sees every call.
     """
+
+    # The five families, in the order the reports list them.
+    FAMILIES = ("intents", "pseudo_intents", "proper_premises", "keys", "passkeys")
 
     def __init__(self, ctx: FormalContext) -> None:
         self.ctx = ctx

@@ -13,8 +13,9 @@ for fixed inputs, flags, and seed.
 
 Exit codes: 0 ok, 2 input or output error, 3 capacity exceeded, 4 internal
 error.  Input errors are bad files and bad option values, checked here
-before any work starts; output errors are files that cannot be written; any
-other exception is an internal error.
+before any work starts, and input files that cannot be read; output errors
+are files, or a standard output, that cannot be written; any other exception,
+an ``OSError`` raised inside the library among them, is an internal error.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ def _dataset_block(ctx: FormalContext, name: str) -> dict:
     }
 
 
-_FAMILIES = ("intents", "pseudo_intents", "proper_premises", "keys", "passkeys")
-
-
 def build_analysis_report(ctx: FormalContext, dataset_name: str) -> dict:
     index = charsets.index_classes(ctx)
     return {
@@ -89,7 +87,7 @@ def build_analysis_report(ctx: FormalContext, dataset_name: str) -> dict:
                 "total": len(getattr(index, name)),
                 "sizes": {str(k): v for k, v in sorted(index.sizes(name).items())},
             }
-            for name in _FAMILIES
+            for name in charsets.ClassIndex.FAMILIES
         },
         "concepts": len(index.intents),
         "linearity": lattice.linearity(index.lattice),
@@ -190,6 +188,8 @@ def _load_context(path: str, fmt: str | None, max_attrs: int | None) -> FormalCo
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ContextFormatError(f"{path!r} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise InputError(exc) from exc
     if fmt is None:
         suffix = Path(path).suffix.lower()
         if suffix == ".cxt":
@@ -216,7 +216,10 @@ def _write(path: str | Path, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise OutputError(exc) from exc
     else:
         _write(out, text)
 
@@ -242,7 +245,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     rows = summarize_descriptions(ctx)
     table = grouped_rows_to_csv(rows)
     if args.out is None:
-        sys.stdout.write(table)
+        _emit(table, None)
     else:
         base = Path(args.out)
         _write(base.with_suffix(".csv"), table)
@@ -345,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         print(f"fcakit: output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ContextFormatError, InputError, OSError) as exc:
+    except (ContextFormatError, InputError) as exc:
         print(f"fcakit: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:

@@ -26,32 +26,34 @@ attributes covers it.  On a context whose rows all have at most 14
 attributes, that leaves the top alone, so neither count builds a cube or
 scans the pairs.  A lattice built from a plain list carries no terms and
 counts every intent itself.  One rule (`_cubes_pay`), read from the
-attribute counts alone, picks the same one of two exact paths for both
-counts:
+attribute counts alone, picks one of two exact paths.  Either path yields
+both counts in one pass, and the lattice keeps them (`pair_counts`): the
+first index asked for pays the whole pass, and the second reads what it
+kept.
 
-* the cube pass (`_cube_pair_counts`) lists the 2^|C| subsets of each
+* The cube pass (`_cube_pair_counts`) lists the 2^|C| subsets of each
   intent C other than the top that carries no terms, and marks the
-  intents among them (`_cube_members`).  The cubes of a block are one
-  cell-major array, 2^|C| cells by intents, so each pass over them runs
-  along whole rows.  Only a cell that misses the member table and hashes
-  to a crowded slot, one whose member displaced another, is looked up
-  among the displaced members.  A subset-sum (zeta) transform of the marks gives f(C), the
-  number of intents inside C, so C is comparable with f(C) - 1 others; a
-  Moebius inversion of the squared sums over the same cube counts the
-  pairs uniting to C (Bjorklund, Husfeldt, Kaski & Koivisto, "Fourier
-  meets Moebius: fast subset convolution", STOC 2007).  The lattice keeps
-  both counts (`pair_counts`): the first index asked for pays the whole
-  pass, zeta transforms included, and the second reads what it kept.  The
-  pass runs when every such C has at most 17 attributes, a memory bound of
-  2^17 cells per cube, and the cells, each charged as 16 pairs, still come
-  to fewer than the pairs, as on lattices of many small intents or of
-  intents that carry their terms;
-* the blocked pair passes (`_pair_comparable_pairs`,
-  `_pair_union_closed_pairs`) test every pair in 2-D blocks, each count
-  on its own, so a caller of one index does not pay for the other.  Their
-  cost depends on n alone, so they stay for chain-like and dense lattices,
-  whose large intents have cubes far bigger than the pair triangle, and as
-  the twins the tests compare the cube pass with.
+  intents among them (`_cube_members`).  A subset-sum (zeta) fold of the
+  marks gives f(C), the number of intents inside C, so C is comparable
+  with f(C) - 1 others; a Moebius inversion of the squared sums over the
+  same cube counts the pairs uniting to C (Bjorklund, Husfeldt, Kaski &
+  Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007).
+  The pass runs when every such C has at most 17 attributes, a memory
+  bound of 2^17 cells per cube, and the cells, each charged as 16 pairs,
+  still come to fewer than the pairs, as on lattices of many small
+  intents or of intents that carry their terms.
+* The blocked pair pass (`_pair_pass_counts`) forms the union of every
+  pair in 2-D blocks.  Ordered by size, a row is comparable with a later
+  column exactly when their union is that column, so one union serves
+  both counts.  Its cost depends on n alone, so it stays for chain-like
+  and dense lattices, whose large intents have cubes far bigger than the
+  pair triangle, and as the twin the tests compare the cube pass with.
+
+Both passes find the intents among their cells or unions in one hashed
+member table (`_MemberTable`).  Every subset cube, here and in the intent
+cubes of ``charsets``, is one cell-major array, 2^k cells by rows, so each
+pass over it runs along whole rows, and one fold (`fold_cube`) runs the
+per-attribute passes over it.
 
 Wider masks take one pure-Python loop over the pairs for both counts.
 """
@@ -66,28 +68,22 @@ import numpy as np
 
 from .context import AttrSet, LecticWords, lectic_order, lectic_sorted, popcounts
 
-# The numpy pair passes take rows i0..i1-1 against columns i0+1..n-1 as one
+# The numpy pair pass takes rows i0..i1-1 against columns i0+1..n-1 as one
 # 2-D block of about this many pairs: small enough to stay in cache, large
 # enough that the per-block numpy calls cost little next to the pair work.
 _BLOCK_PAIRS = 1 << 15
 
-# Membership pre-filter of the union pair pass: a 2^18-slot bool table
-# (256 KB) indexed by a Fibonacci hash of the mask.  Only a few percent of
-# pair unions are intents, so most are rejected by one table read.  The
-# unions that pass are settled exactly through a slot table holding the
-# intent stored in each slot; intents whose slot was taken by another intent
-# go to a small sorted `lost` array.
-_FILTER_BITS = 18
+# The member table hashes a mask by this Fibonacci multiplier.
 _FIB_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 # The cube counts build the 2^k subsets of each k-attribute intent other
 # than the top.  They run only when no such cube exceeds 2^_CUBE_MAX_BITS
 # cells (its int64 counts take 1 MB), and when its cells, each charged as
 # _CELL_COST pairs, still come to fewer than the pairs: on 403x40 contexts
-# of 5-7 k intents a cube cell costs about 8 pairs of the union pair pass
-# and 20 of the comparable one.  Cubes are built and searched _BLOCK_PAIRS
+# of 5-7 k intents a cube cell cost about 8 pairs of the union pair pass
+# and 20 of the comparable one, when each index had a pass of its own.  Cubes are built and searched _BLOCK_PAIRS
 # cells at a time, several small cubes to a chunk or one chunk of a large
-# cube, against a member table of at most 2^_TABLE_BITS slots (512 KB).
+# cube.  The member table has at most 2^_TABLE_BITS slots (512 KB).
 _CUBE_MAX_BITS = 17
 _TABLE_BITS = 16
 _CHUNK_BITS = _BLOCK_PAIRS.bit_length() - 1
@@ -104,10 +100,9 @@ class ConceptLattice:
     lectic, order, and the numpy counts start from it.  ``terms``, when
     given, is a ``(2, n)`` integer array in that order too: f(C) and g(C)
     of each intent C that carries them (`_cube_pair_counts`), 0 and 0 for
-    the others.  The two raw pair counts are computed on first use; where
-    one pass yields both (the cube pass, or the loop over masks wider than
-    64 bits) the lattice keeps them, so linearity and distributivity share
-    it.
+    the others.  Both raw pair counts come from one pass on first use
+    (`pair_counts`), and the lattice keeps them, so linearity and
+    distributivity share it.
     """
 
     intents: tuple[AttrSet, ...]
@@ -194,9 +189,8 @@ class ConceptLattice:
         return words[own], sizes[own], (members, f, g)
 
     @cached_property
-    def _pair_counts(self) -> tuple[int, int] | None:
-        """Both raw counts where one pass yields them, else None
-        (`pair_counts`)."""
+    def _pair_counts(self) -> tuple[int, int]:
+        """Both raw counts (`pair_counts`)."""
         return pair_counts(self)
 
     def __contains__(self, mask: object) -> bool:
@@ -255,12 +249,12 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
         i0 = i1
 
 
-def pair_counts(lat: ConceptLattice) -> tuple[int, int] | None:
-    """``(comparable, union_closed)`` pairs of ``lat`` from one pass, or
-    None where each count takes its own blocked pair pass.
+def pair_counts(lat: ConceptLattice) -> tuple[int, int]:
+    """``(comparable, union_closed)`` pairs of ``lat`` from one pass.
 
-    Masks of up to 64 bits take the cube pass when ``_cubes_pay`` says so;
-    wider ones one pure-Python loop over the pairs.
+    Masks of up to 64 bits take the cube pass when ``_cubes_pay`` says so,
+    else the blocked pair pass; wider ones one pure-Python loop over the
+    pairs.
     """
     masks = lat.intents
     if len(masks) <= 1:
@@ -279,29 +273,42 @@ def pair_counts(lat: ConceptLattice) -> tuple[int, int] | None:
         return comparable, union_closed
     if _cubes_pay(lat):
         return _cube_pair_counts(lat)
-    return None
+    return _pair_pass_counts(words)
 
 
 def count_comparable_pairs(lat: ConceptLattice) -> int:
     """Unordered pairs of distinct intents where one contains the other."""
-    counts = lat._pair_counts
-    return _pair_comparable_pairs(lat._words) if counts is None else counts[0]
+    return lat._pair_counts[0]
 
 
-def _pair_comparable_pairs(words: np.ndarray) -> int:
-    """The comparable count over every pair, in blocks (any family of
-    distinct masks ordered by attribute count)."""
-    total = 0
+def count_union_closed_pairs(lat: ConceptLattice) -> int:
+    """Unordered pairs of distinct intents whose union is again an intent."""
+    return lat._pair_counts[1]
+
+
+def _pair_pass_counts(words: np.ndarray) -> tuple[int, int]:
+    """``(comparable, union_closed)`` over every pair, in blocks (any family
+    of distinct masks ordered by attribute count).
+
+    Ordered by size, a row can only be a subset of a later column, and it
+    is one exactly when their union is that column.  Every union is looked
+    up in the member table, whatever the attribute counts.
+    """
+    members = _MemberTable(words)
+    comparable = union_closed = 0
     for i0, i1, keep in _row_blocks(len(words)):
-        rows = words[i0:i1, None]
-        # Ordered by size, a row can only be a subset of a later column.
-        hit = (rows & words[None, i0 + 1 :]) == rows
+        cols = words[None, i0 + 1 :]
+        union = words[i0:i1, None] | cols
+        hit = union == cols
         hit[:, : i1 - i0 - 1] &= keep
-        total += int(np.count_nonzero(hit))
-    return total
+        comparable += int(np.count_nonzero(hit))
+        members.find(union, out=hit)
+        hit[:, : i1 - i0 - 1] &= keep
+        union_closed += int(np.count_nonzero(hit))
+    return comparable, union_closed
 
 
-def _slots(words: np.ndarray, bits: int = _FILTER_BITS) -> np.ndarray:
+def _slots(words: np.ndarray, bits: int) -> np.ndarray:
     """Slot of each mask in a table of 2^bits, as indices (array-by-scalar
     uint64 products wrap silently, as the hash needs; slots fit any index
     type)."""
@@ -328,7 +335,7 @@ def _top_split(words: np.ndarray, sizes: np.ndarray) -> tuple[np.uint64, int, in
 
 
 def _cubes_pay(lat: ConceptLattice) -> bool:
-    """Whether the cube counts should replace the pair passes.
+    """Whether the cube counts should replace the pair pass.
 
     No mask whose cube the lattice builds (`ConceptLattice._cube_rows`)
     may have more than ``_CUBE_MAX_BITS`` attributes, and ``_CELL_COST``
@@ -364,36 +371,56 @@ def _subset_cubes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cube, rest
 
 
+class _MemberTable:
+    """A family of distinct masks, hashed to find which of many cells are
+    members.
+
+    The table has about 8 slots per member, at most 2^_TABLE_BITS.  Every
+    slot holds a member, so a cell equal to its slot's entry is one.  The
+    members displaced from their slot by another are searched in the sorted
+    ``lost`` array, but only for the cells that hash to a ``crowded`` slot,
+    one that displaced a member: a cell equal to a lost member hashes to
+    that member's slot.
+    """
+
+    def __init__(self, members: np.ndarray) -> None:
+        self.bits = min(_TABLE_BITS, (8 * len(members)).bit_length())
+        slots = _slots(members, self.bits)
+        self.table = np.full(1 << self.bits, members[0])
+        self.table[slots] = members
+        displaced = self.table[slots] != members
+        self.lost = np.sort(members[displaced])
+        self.crowded = np.zeros(1 << self.bits, dtype=bool)
+        self.crowded[slots[displaced]] = True
+
+    def find(self, cells: np.ndarray, out: np.ndarray) -> None:
+        """Set ``out``, a bool array shaped as ``cells``, to whether each
+        cell is a member."""
+        cell_slots = _slots(cells, self.bits)
+        np.equal(self.table[cell_slots], cells, out=out)
+        if self.lost.size:
+            missed = self.crowded[cell_slots] & ~out
+            cells = cells[missed]
+            pos = np.searchsorted(self.lost, cells)
+            out[missed] = self.lost.take(pos, mode="clip") == cells
+
+
 def _cube_members(
     words: np.ndarray, sizes: np.ndarray, members: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The subset cubes of some masks, the ``members`` marked, in blocks.
 
     ``words`` are distinct masks ordered by their attribute counts
-    ``sizes``; ``members`` is a family of distinct masks.  Yields ``(k,
-    marks)`` for each block of k-attribute masks: ``marks[s, r]`` is
-    whether cell ``s`` of the cube of row ``r`` (as laid out by
-    `_subset_cubes`) is a member.  A block holds at most
-    ``_BLOCK_PAIRS`` cells, or one larger cube.  Cells are built and
-    searched ``_BLOCK_PAIRS`` at a time: the 2^15 cells from ``c << 15`` of
-    a larger cube are its lowest 15 attributes' cube united with subset c
-    of the others, so only its marks are held at full size.
-
-    A cell is found in a hashed table of about 8 slots per member (at most
-    2^_TABLE_BITS).  Every slot holds a member, so a cell equal to its
-    slot's entry is one.  The members displaced from their slot by another
-    are searched in the sorted ``lost`` array, but only for the cells that
-    hash to a ``crowded`` slot, one that displaced a member: a cell equal
-    to a lost member hashes to that member's slot.
+    ``sizes``; ``members`` is a family of distinct masks, found through
+    its `_MemberTable`.  Yields ``(k, marks)`` for each block of
+    k-attribute masks: ``marks[s, r]`` is whether cell ``s`` of the cube of
+    row ``r`` (as laid out by `_subset_cubes`) is a member.  A block holds
+    at most ``_BLOCK_PAIRS`` cells, or one larger cube.  Cells are built
+    and searched ``_BLOCK_PAIRS`` at a time: the 2^15 cells from ``c << 15``
+    of a larger cube are its lowest 15 attributes' cube united with subset
+    c of the others, so only its marks are held at full size.
     """
-    bits = min(_TABLE_BITS, (8 * len(members)).bit_length())
-    slots = _slots(members, bits)
-    table = np.full(1 << bits, members[0])
-    table[slots] = members
-    displaced = table[slots] != members
-    lost = np.sort(members[displaced])
-    crowded = np.zeros(1 << bits, dtype=bool)
-    crowded[slots[displaced]] = True
+    table = _MemberTable(members)
     for k in range(int(sizes[-1]) + 1):
         lo, hi = np.searchsorted(sizes, (k, k + 1))
         low_bits = min(k, _CHUNK_BITS)
@@ -405,15 +432,28 @@ def _cube_members(
             marks = np.empty((1 << k, len(rows)), dtype=bool)
             for c in range(1 << (k - low_bits)):
                 cells = low | high[c] if c else low
-                found = marks[c << low_bits : (c + 1) << low_bits]
-                cell_slots = _slots(cells, bits)
-                np.equal(table[cell_slots], cells, out=found)
-                if lost.size:
-                    missed = crowded[cell_slots] & ~found
-                    cells = cells[missed]
-                    pos = np.searchsorted(lost, cells)
-                    found[missed] = lost.take(pos, mode="clip") == cells
+                table.find(cells, out=marks[c << low_bits : (c + 1) << low_bits])
             yield k, marks
+
+
+def fold_cube(cube: np.ndarray, op: np.ufunc, supersets: bool = False) -> None:
+    """In place, fold into each cell of a contiguous cell-major ``(2^k,
+    rows)`` cube the cells of its subsets in the same row, by the binary
+    ufunc ``op``, or those of its supersets.
+
+    The pass for attribute j pairs each run of 2^j * rows contiguous cells
+    without j with the run after it, which has j, and folds the first into
+    the second, or the second into the first.  ``np.add`` gives the subset
+    sums (zeta), ``np.subtract`` their Moebius inversion, and
+    ``np.bitwise_and`` over supersets the meet of each cell's supersets.
+    """
+    for j in range(cube.shape[0].bit_length() - 1):
+        halves = cube.reshape(-1, 2, cube.shape[1] << j)
+        without, with_ = halves[:, 0], halves[:, 1]
+        if supersets:
+            op(without, with_, out=without)
+        else:
+            op(with_, without, out=with_)
 
 
 def _moebius_signs(k: int) -> np.ndarray:
@@ -434,10 +474,10 @@ def _cube_pair_counts(lat: ConceptLattice) -> tuple[int, int]:
     `_cube_members`, unless it carries its terms (`ConceptLattice.terms`).
 
     Over the cube of a member C other than the top, f(T) is the number of
-    members inside T: the marks, summed over subsets by one in-place zeta
-    pass per attribute.  C contains f(C) - 1 other members.  Every pair
-    uniting to C lies inside C, and f(T)^2 counts the ordered pairs whose
-    union lies inside T, so the Moebius inversion at C,
+    members inside T: the marks, summed over subsets (`fold_cube`).  C
+    contains f(C) - 1 other members.  Every pair uniting to C lies inside
+    C, and f(T)^2 counts the ordered pairs whose union lies inside T, so
+    the Moebius inversion at C,
     ``g(C) = sum over T of (-1)^|C - T| f(T)^2``, counts the ordered pairs
     whose union is exactly C, one of them (C, C); C adds (g(C) - 1) / 2.
     A block sums f(T)^2 over its rows, then dots the sums with the signs,
@@ -460,9 +500,7 @@ def _cube_pair_counts(lat: ConceptLattice) -> tuple[int, int]:
         signs = _moebius_signs(int(sizes[-1]))
         for k, marks in _cube_members(rows, sizes, words[:b]):
             f = marks.astype(np.int64)
-            for j in range(k):
-                cells = f.reshape(-1, 2, 1 << j, f.shape[1])
-                cells[:, 1] += cells[:, 0]
+            fold_cube(f, np.add)
             comparable += int(np.sum(f[-1]))
             f *= f
             ordered += int(signs[-(1 << k) :] @ f.sum(axis=1))
@@ -481,44 +519,6 @@ def _cube_pair_counts(lat: ConceptLattice) -> tuple[int, int]:
             both += int(np.count_nonzero(hit[:, h:]))
         union_closed -= both // 2
     return comparable, union_closed
-
-
-def _pair_union_closed_pairs(words: np.ndarray) -> int:
-    """The union count over every pair, in blocks (any family of distinct
-    masks): n(n-1)/2 unions, screened by a hashed bit table and settled by
-    the slot table, whatever the attribute counts."""
-    n = len(words)
-    slots = _slots(words)
-    maybe_member = np.zeros(1 << _FILTER_BITS, dtype=bool)
-    maybe_member[slots] = True
-    # index_at[s] is 1 + the index of the intent stored in slot s, 0 if
-    # none; key_at[0] = 0 is never the union of two distinct intents.
-    index_at = np.zeros(1 << _FILTER_BITS, dtype=np.uint32)
-    index_at[slots] = np.arange(1, n + 1, dtype=np.uint32)
-    key_at = np.concatenate((np.zeros(1, dtype=np.uint64), words))
-    # The intents displaced from their slot by another one, sorted.
-    lost = np.sort(words[key_at[index_at[slots]] != words])
-    total = 0
-    for i0, i1, keep in _row_blocks(n):
-        union = words[i0:i1, None] | words[None, i0 + 1 :]
-        hit = maybe_member[_slots(union)]
-        hit[:, : i1 - i0 - 1] &= keep
-        # False positives only: the slot table settles each survivor
-        # (hashing the few survivors again beats compressing all slots).
-        union = union[hit]
-        stored = key_at[index_at[_slots(union)]] == union
-        total += int(np.count_nonzero(stored))
-        if lost.size:
-            union = union[~stored]
-            pos = np.searchsorted(lost, union)
-            total += int(np.count_nonzero(lost.take(pos, mode="clip") == union))
-    return total
-
-
-def count_union_closed_pairs(lat: ConceptLattice) -> int:
-    """Unordered pairs of distinct intents whose union is again an intent."""
-    counts = lat._pair_counts
-    return _pair_union_closed_pairs(lat._words) if counts is None else counts[1]
 
 
 def linearity(lat: ConceptLattice) -> float:

@@ -128,13 +128,11 @@ class TrialSummary:
     quartiles: tuple[float, float, float, float, float]
 
 
-# Count metric -> the ``ClassIndex`` family it counts.
+# Count metric -> the ``ClassIndex`` family it counts: "intents" is counted
+# by "intent-count", "pseudo_intents" by "pseudo-intent-count", and so on.
 _FAMILIES = {
-    "intent-count": "intents",
-    "pseudo-intent-count": "pseudo_intents",
-    "proper-premise-count": "proper_premises",
-    "key-count": "keys",
-    "passkey-count": "passkeys",
+    family[:-1].replace("_", "-") + "-count": family
+    for family in charsets.ClassIndex.FAMILIES
 }
 COUNT_METRICS = tuple(_FAMILIES)
 SCALAR_METRICS = ("linearity", "distributivity")

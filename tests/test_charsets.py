@@ -27,7 +27,7 @@ from fcakit import (
     index_classes,
     linearity,
 )
-from fcakit import charsets
+from fcakit import charsets, lattice
 from fcakit.charsets import (
     _canonical_basis_scan,
     _ScalarRules,
@@ -487,12 +487,12 @@ class TestBasisScanKernels:
             170, max_objects=8, max_attrs=10, min_objects=4, min_attrs=6, seed=0xACCE
         ) + fuzz_contexts(30, max_objects=4, max_attrs=4, seed=0xACCE + 1)
         for ctx in corpus:
-            assert _canonical_basis_scan(ctx) == scalar_basis_scan(ctx)
+            assert _canonical_basis_scan(ctx, enumerate_intents(ctx)) == scalar_basis_scan(ctx)
 
     @pytest.mark.parametrize("width", [62, 63, 64])
     def test_word_path_near_64_bits(self, width):
         ctx = wide_context(width, 6, seed=width)
-        found = _canonical_basis_scan(ctx)
+        found = _canonical_basis_scan(ctx, enumerate_intents(ctx))
         assert found == scalar_basis_scan(ctx)
         top = 1 << (width - 1)
         assert any(p & top for p, _ in found)
@@ -500,7 +500,7 @@ class TestBasisScanKernels:
     @pytest.mark.parametrize("width", [65, 70])
     def test_scalar_path_beyond_64_bits(self, width):
         ctx = wide_context(width, 6, seed=width)
-        found = _canonical_basis_scan(ctx)
+        found = _canonical_basis_scan(ctx, enumerate_intents(ctx))
         assert found == scalar_basis_scan(ctx)
         assert any(p >> 64 for p, _ in found)
 
@@ -531,7 +531,7 @@ class TestBasisScanKernels:
 
     def test_realistic_scale(self):
         ctx = realistic_context()
-        assert _canonical_basis_scan(ctx) == scalar_basis_scan(ctx)
+        assert _canonical_basis_scan(ctx, enumerate_intents(ctx)) == scalar_basis_scan(ctx)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -548,18 +548,23 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 class TestPseudoIntentsFromIntents:
-    """``enumerate_pseudo_intents(ctx, intents)``: the same list, with
+    """The scan takes the intents on every route: ``enumerate_pseudo_intents``
+    with and without them, and ``dg_basis``, give the same premises, with
     ``closure`` run for the pseudo-intents alone."""
 
     def assert_same_scan(self, monkeypatch, ctx: FormalContext) -> list[int]:
         closures = count_calls(monkeypatch, charsets, "closure")
         intents = enumerate_intents(ctx)
         plain = enumerate_pseudo_intents(ctx)
-        assert len(closures) == len(intents) + len(plain)
-        closures.clear()
-        given = enumerate_pseudo_intents(ctx, intents)
-        assert given == plain
-        assert [attrs for _, attrs in closures] == plain
+        routes = {
+            "plain": lambda: plain,
+            "given": lambda: enumerate_pseudo_intents(ctx, intents),
+            "dg_basis": lambda: [imp.premise for imp in dg_basis(ctx)],
+        }
+        for route, premises in routes.items():
+            assert premises() == plain, route
+            assert [attrs for _, attrs in closures] == plain, route
+            closures.clear()
         assert _canonical_basis_scan(ctx, intents) == scalar_basis_scan(ctx)
         return plain
 
@@ -576,11 +581,12 @@ class TestPseudoIntentsFromIntents:
     @pytest.mark.parametrize("width", [64, 65, 70])
     def test_both_rule_stores(self, monkeypatch, width):
         # Up to 64 attributes the scan keeps its rules in ``_WordRules``,
-        # above that in ``_ScalarRules``.
+        # above that in ``_ScalarRules``: one store for each of the three
+        # routes and the last scan.
         ctx = wide_context(width, 6, seed=width)
         stores = count_calls(monkeypatch, charsets, "_WordRules" if width <= 64 else "_ScalarRules")
         pseudo = self.assert_same_scan(monkeypatch, ctx)
-        assert len(stores) == 3 and pseudo
+        assert len(stores) == 4 and pseudo
         assert any(p >> 63 for p in pseudo)
 
     def test_class_index_closes_only_the_pseudo_intents(self, monkeypatch):
@@ -620,7 +626,7 @@ def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]],
 
     monkeypatch.setattr(charsets, "_WordRules", recording(_WordRules))
     monkeypatch.setattr(charsets, "_ScalarRules", recording(_ScalarRules))
-    return _canonical_basis_scan(ctx), log
+    return _canonical_basis_scan(ctx, enumerate_intents(ctx)), log
 
 
 def skipped_candidates(
@@ -826,16 +832,17 @@ class TestIntentKernels:
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
     @pytest.mark.parametrize("k", range(8))
     def test_superset_meets(self, k, width):
-        # Each cell of a random cell-major cube, 2^k cells by width rows,
-        # against the meet of its supersets in its row. Most cells clear one
-        # random bit, so the meets keep some bits set; width 1 is a single
-        # cube, whose runs are the shortest.
+        # The fold the intent cubes run, as they run it, against the meet of
+        # its supersets in its row, for each cell of a random cell-major
+        # cube of 2^k cells by width rows. Most cells clear one random bit,
+        # so the meets keep some bits set; width 1 is a single cube, whose
+        # runs are the shortest.
         rng = np.random.default_rng(8 * k + width)
         clear = np.left_shift(1, rng.integers(0, 16, size=(1 << k, width)))
         clear *= rng.random((1 << k, width)) < 0.7
         cube = (0xFFFF ^ clear).astype(np.uint16)
         before = cube.tolist()
-        charsets._superset_meets(cube, k)
+        lattice.fold_cube(cube, np.bitwise_and, supersets=True)
         for s in range(1 << k):
             for r in range(width):
                 meet = 0xFFFF

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -491,6 +492,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert "fcakit: internal error: duplicate intents" in captured.err
+
+    def test_library_os_error_is_internal(self, capsys, monkeypatch):
+        # An OSError raised inside the library, as os.waitpid raises when a
+        # trial child is gone, is not an input error.
+        def broken(ctx):
+            raise ChildProcessError(10, "No child processes")
+
+        monkeypatch.setattr(charsets, "index_classes", broken)
+        code = main(["analyze", str(TOY_CXT)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "fcakit: internal error: [Errno 10] No child processes" in captured.err
+        assert "input error" not in captured.err
+
+    @pytest.mark.parametrize("command", ["indices", "describe"])
+    def test_unwritable_stdout_is_output_error(self, capsys, monkeypatch, command):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main([command, str(TOY_CXT)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "fcakit: output error: [Errno 28] No space left on device" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_capacity_exceeded(self, capsys, tmp_path):
         header = "id," + ",".join(f"m{i}" for i in range(26))

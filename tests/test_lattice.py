@@ -28,11 +28,11 @@ from fcakit.lattice import (
     _cube_pair_counts,
     _cubes_pay,
     _moebius_signs,
-    _pair_comparable_pairs,
-    _pair_union_closed_pairs,
+    _pair_pass_counts,
     _subset_cubes,
     count_comparable_pairs,
     count_union_closed_pairs,
+    fold_cube,
     pair_total,
 )
 
@@ -59,26 +59,11 @@ def brute_union_closed(masks) -> int:
     return sum(1 for a, b in combinations(masks, 2) if a | b in member)
 
 
-def pair_pass(lat) -> int:
-    """The blocked union pair pass, whichever path the size rule picks."""
-    return _pair_union_closed_pairs(lat._words)
-
-
-def cube_count(lat) -> int:
-    """The cube union count, with any terms the lattice carries, whichever
-    path the size rule picks."""
-    return _cube_pair_counts(lat)[1]
-
-
-def comparable_pair_pass(lat) -> int:
-    """The blocked comparable pair pass, whichever path the size rule picks."""
-    return _pair_comparable_pairs(lat._words)
-
-
-def comparable_cube_count(lat) -> int:
-    """The cube comparable count, with any terms the lattice carries,
-    whichever path the size rule picks."""
-    return _cube_pair_counts(lat)[0]
+def pair_pass(lat) -> tuple[int, int]:
+    """Both counts from the blocked pair pass, whichever path the size rule
+    picks; `_cube_pair_counts` gives them from the cubes, with any terms
+    the lattice carries, alike."""
+    return _pair_pass_counts(lat._words)
 
 
 def cubes_pay(lat) -> bool:
@@ -272,10 +257,9 @@ class TestVectorizedPath:
     def test_realistic_lattice_matches_pair_scan(self):
         lat = build_lattice(enumerate_intents(realistic_context()))
         assert len(lat) == 1658
-        assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
-        expected = brute_union_closed(lat.intents)
-        assert count_union_closed_pairs(lat) == expected
-        assert pair_pass(lat) == cube_count(lat) == expected
+        expected = (brute_comparable(lat.intents), brute_union_closed(lat.intents))
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
+        assert pair_pass(lat) == _cube_pair_counts(lat) == expected
 
     def test_every_union_a_member(self):
         lat = build_lattice(list(range(1 << 9)))
@@ -284,11 +268,15 @@ class TestVectorizedPath:
         assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
 
     def test_slot_collision_settled_exactly(self):
-        # Two members x, y share a filter slot, so only one of them can sit
-        # in the slot table; each is the union of two other members.
+        # Two members x, y share a slot of the member table a family of 560
+        # takes, so one of them at least is displaced into the lost array;
+        # each is the union of two other members, and the family takes the
+        # pair pass.
+        n = 560
+        bits = lattice._MemberTable(np.arange(n, dtype=np.uint64)).bits
+
         def slot(mask):
-            mult, shift = int(lattice._FIB_MULT), 64 - lattice._FILTER_BITS
-            return (mask * mult) % (1 << 64) >> shift
+            return (mask * int(lattice._FIB_MULT)) % (1 << 64) >> (64 - bits)
 
         rnd = random.Random(9)
         seen = {}
@@ -303,14 +291,16 @@ class TestVectorizedPath:
         assert slot(x) == slot(y) and x != y
         # lowest bit | the other bits
         masks = {x, y, x & -x, x & (x - 1), y & -y, y & (y - 1)}
-        while len(masks) < 560:
+        while len(masks) < n:
             masks.add(rnd.getrandbits(30))
         masks = list(masks)
         lat = ConceptLattice(tuple(masks))
-        assert lat._words is not None
-        expected = brute_union_closed(masks)
-        assert count_union_closed_pairs(lat) == expected
-        assert pair_pass(lat) == expected
+        table = lattice._MemberTable(lat._words)
+        assert table.bits == bits
+        assert {x, y} & set(table.lost.tolist())
+        assert not cubes_pay(lat)
+        expected = (brute_comparable(masks), brute_union_closed(masks))
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
 
     def test_no_union_a_member(self):
         masks = [(1 << a) | (1 << b) for a, b in combinations(range(30), 2)]
@@ -321,19 +311,16 @@ class TestVectorizedPath:
 
 
 class TestCubeCount:
-    """Both cube counts against their pair passes and the brute counts, on
+    """Both cube counts against the pair pass and the brute counts, on
     either side of the size rule."""
 
     @staticmethod
     def check(masks) -> int:
         lat = ConceptLattice(tuple(masks))
-        comparable = brute_comparable(masks)
-        assert comparable_cube_count(lat) == comparable_pair_pass(lat) == comparable
-        assert count_comparable_pairs(lat) == comparable
-        expected = brute_union_closed(masks)
-        assert cube_count(lat) == pair_pass(lat) == expected
-        assert count_union_closed_pairs(lat) == expected
-        return expected
+        expected = (brute_comparable(masks), brute_union_closed(masks))
+        assert _cube_pair_counts(lat) == pair_pass(lat) == expected
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
+        return expected[1]
 
     @pytest.mark.parametrize("with_top", [False, True])
     def test_random_families(self, with_top):
@@ -405,8 +392,7 @@ class TestCubeCount:
         for masks in families:
             lat = ConceptLattice(tuple(masks))
             expected = (brute_comparable(masks), brute_union_closed(masks))
-            assert (comparable_pair_pass(lat), pair_pass(lat)) == expected
-            assert _cube_pair_counts(lat) == expected
+            assert _cube_pair_counts(lat) == pair_pass(lat) == expected
 
     def test_moebius_signs_nest(self):
         signs = _moebius_signs(17).tolist()
@@ -425,9 +411,8 @@ class TestCubeCount:
         lat = build_lattice(enumerate_intents(contranominal_context(k)))
         n = len(lat)
         assert n == 1 << k
-        assert cube_count(lat) == pair_pass(lat) == n * (n - 1) // 2
-        comparable = brute_comparable(lat.intents)
-        assert comparable_cube_count(lat) == comparable_pair_pass(lat) == comparable
+        expected = (brute_comparable(lat.intents), n * (n - 1) // 2)
+        assert _cube_pair_counts(lat) == pair_pass(lat) == expected
         # The Boolean lattice on k attributes from bit 63 down.
         shifted = [m << (64 - k) for m in lat.intents]
         assert self.check(shifted) == n * (n - 1) // 2
@@ -444,12 +429,8 @@ class TestCubeCount:
         for masks, pays in ((sorted(small), True), (boolean, False)):
             lat = ConceptLattice(tuple(masks))
             assert cubes_pay(lat) is pays
-            assert cube_count(lat) == pair_pass(lat) == count_union_closed_pairs(lat)
-            assert (
-                comparable_cube_count(lat)
-                == comparable_pair_pass(lat)
-                == count_comparable_pairs(lat)
-            )
+            counts = (count_comparable_pairs(lat), count_union_closed_pairs(lat))
+            assert _cube_pair_counts(lat) == pair_pass(lat) == counts
         assert count_union_closed_pairs(ConceptLattice(tuple(boolean))) == (
             len(boolean) * (len(boolean) - 1) // 2
         )
@@ -461,7 +442,7 @@ class TestCubeCount:
                  for _ in range(3000)}
         masks.add((1 << 40) - 1)
         lat = ConceptLattice(tuple(sorted(masks)))
-        expected = (comparable_pair_pass(lat), pair_pass(lat))
+        expected = pair_pass(lat)
 
         def no_pairs(n):
             raise AssertionError("pair pass on a lattice whose cubes pay")
@@ -482,8 +463,7 @@ class TestCubeCount:
         lat = ConceptLattice(tuple(sorted(masks)))
         assert len(lat) > 3000
         assert cubes_pay(lat) is pays
-        assert count_union_closed_pairs(lat) == pair_pass(lat)
-        assert count_comparable_pairs(lat) == comparable_pair_pass(lat)
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == pair_pass(lat)
 
     def test_wide_chain_takes_pair_pass(self, monkeypatch):
         # A 60-attribute chain has members of up to 59 attributes: it is
@@ -532,12 +512,52 @@ class TestCubeLayout:
                 assert int(cube[s, r]) == subset
             assert int(rest[r]) == sum(bits[k:])
 
+    @pytest.mark.parametrize("rows", range(1, 6))
+    @pytest.mark.parametrize("k", range(7))
+    def test_fold_cube(self, k, rows):
+        # Each cell of a random cell-major cube, 2^k cells by rows, against
+        # the sum over its subsets, the Moebius inversion (the signed sum
+        # over its subsets), and the AND of its supersets, in its row.
+        rng = np.random.default_rng(8 * k + rows)
+        values = rng.integers(-50, 50, size=(1 << k, rows))
+        before = values.tolist()
+        cells = range(1 << k)
+        subset_sums = [
+            [sum(before[t][r] for t in cells if t & s == t) for r in range(rows)]
+            for s in cells
+        ]
+        moebius = [
+            [
+                sum((-1) ** (s ^ t).bit_count() * before[t][r] for t in cells if t & s == t)
+                for r in range(rows)
+            ]
+            for s in cells
+        ]
+        cube = values.copy()
+        fold_cube(cube, np.add)
+        assert cube.tolist() == subset_sums
+        cube = values.copy()
+        fold_cube(cube, np.subtract)
+        assert cube.tolist() == moebius
+        # Most cells clear one random bit, so the meets keep some bits set.
+        clear = np.left_shift(1, rng.integers(0, 16, size=(1 << k, rows)))
+        clear *= rng.random((1 << k, rows)) < 0.7
+        words = (0xFFFF ^ clear).astype(np.uint16)
+        before = words.tolist()
+        fold_cube(words, np.bitwise_and, supersets=True)
+        for s in cells:
+            for r in range(rows):
+                meet = 0xFFFF
+                for t in cells:
+                    if t & s == s:
+                        meet &= before[t][r]
+                assert int(words[s, r]) == meet
+
 
 class TestOnePass:
-    """Where the cubes pay, both indices of a lattice share one cube pass;
-    where they do not, each index runs only its own pair pass.  A lattice
-    whose intents other than the top all carry their terms builds no cube
-    and runs no pair pass."""
+    """Both indices of a lattice share one pass: the cube pass where the
+    cubes pay, else the pair pass.  A lattice whose intents other than the
+    top all carry their terms builds no cube and runs no pair pass."""
 
     @staticmethod
     def count_cube_passes(monkeypatch) -> list[int]:
@@ -575,8 +595,7 @@ class TestOnePass:
         def refuse(*args):
             raise AssertionError("pair pass on a lattice whose intents carry their terms")
 
-        monkeypatch.setattr(lattice, "_pair_comparable_pairs", refuse)
-        monkeypatch.setattr(lattice, "_pair_union_closed_pairs", refuse)
+        monkeypatch.setattr(lattice, "_pair_pass_counts", refuse)
         assert main(["indices", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert calls == []
@@ -586,25 +605,29 @@ class TestOnePass:
         assert report["linearity"] == linearity(lat)
         assert report["distributivity"] == distributivity(lat)
 
-    @pytest.mark.parametrize("index", ["linearity", "distributivity"])
-    def test_pair_path_runs_one_pair_pass_per_index(self, monkeypatch, index):
+    def test_indices_share_one_pair_pass(self, monkeypatch):
         # The Boolean lattice on 9 attributes does not pay for its cubes; a
         # plain list carries no terms.
         lat = build_lattice(list(enumerate_intents(contranominal_context(9))))
         assert not cubes_pay(lat)
-        comparable = brute_comparable(lat.intents)
+        pairs = pair_total(lat)
+        expected = (brute_comparable(lat.intents) / pairs, 1.0)
 
         def refuse(*args):
-            raise AssertionError("pass run for the other index")
+            raise AssertionError("cube pass on a lattice whose cubes do not pay")
+
+        calls = []
+        real = lattice._pair_pass_counts
+
+        def counting(words):
+            calls.append(len(words))
+            return real(words)
 
         monkeypatch.setattr(lattice, "_cube_members", refuse)
-        other = {
-            "linearity": "_pair_union_closed_pairs",
-            "distributivity": "_pair_comparable_pairs",
-        }[index]
-        monkeypatch.setattr(lattice, other, refuse)
-        expected = {"linearity": comparable, "distributivity": pair_total(lat)}[index]
-        assert getattr(lattice, index)(lat) == expected / pair_total(lat)
+        monkeypatch.setattr(lattice, "_pair_pass_counts", counting)
+        assert (linearity(lat), distributivity(lat)) == expected
+        assert (linearity(lat), distributivity(lat)) == expected
+        assert calls == [len(lat)]
 
 
 def brute_terms(intents, c) -> tuple[int, int]:
@@ -676,8 +699,7 @@ class TestCarriedTerms:
             distributivity(from_list),
         )
         if len(lat) > 1:
-            assert cube_count(lat) == pair_pass(lat) == counts[1]
-            assert comparable_cube_count(lat) == comparable_pair_pass(lat) == counts[0]
+            assert _cube_pair_counts(lat) == pair_pass(lat) == counts
         return lat
 
     def test_fuzz_corpus(self):
@@ -730,7 +752,7 @@ class TestCarriedTerms:
         calls = TestOnePass.count_cube_passes(monkeypatch)
         counts = (count_comparable_pairs(lat), count_union_closed_pairs(lat))
         assert calls == [1]
-        assert counts == (comparable_pair_pass(lat), pair_pass(lat))
+        assert counts == pair_pass(lat)
         from_list = build_lattice(list(intents))
         assert counts == (count_comparable_pairs(from_list), count_union_closed_pairs(from_list))
 
@@ -814,7 +836,7 @@ class TestCarriedTerms:
 
 
 class TestPairBlocks:
-    """The numpy pair passes on lattices from two intents up, so single-row
+    """The numpy pair pass on lattices from two intents up, so single-row
     blocks, the last block and the triangle masks all run."""
 
     def test_fuzz_corpus(self):
@@ -825,10 +847,9 @@ class TestPairBlocks:
                 continue
             sizes.add(len(lat))
             assert lat._words is not None
-            assert count_comparable_pairs(lat) == brute_comparable(lat.intents)
-            expected = brute_union_closed(lat.intents)
-            assert count_union_closed_pairs(lat) == expected
-            assert pair_pass(lat) == cube_count(lat) == expected
+            expected = (brute_comparable(lat.intents), brute_union_closed(lat.intents))
+            assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
+            assert pair_pass(lat) == _cube_pair_counts(lat) == expected
         assert min(sizes) == 2 and max(sizes) > 50
 
     @pytest.mark.parametrize("n", [181, 182, 400, 401, 1000])
@@ -839,7 +860,6 @@ class TestPairBlocks:
             masks.add(rnd.getrandbits(24))
         masks = list(masks)
         lat = ConceptLattice(tuple(masks))
-        assert count_comparable_pairs(lat) == brute_comparable(masks)
-        expected = brute_union_closed(masks)
-        assert count_union_closed_pairs(lat) == expected
+        expected = (brute_comparable(masks), brute_union_closed(masks))
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
         assert pair_pass(lat) == expected
