@@ -16,6 +16,12 @@ lattice of one context, each computed on first use and then kept.  It is
 how the reports and every randomized trial reach the families.  All
 enumeration output is returned in lectic order.
 
+The basis scan (``_canonical_basis_scan``) walks the intents and the
+pseudo-intents in lectic order.  It takes the intents and the key family:
+the keys that are intents or pseudo-intents, and their closures, come from
+the key family, so the scan steps to each of them without a preclosure
+and closes only the pseudo-intents that are not keys.
+
 Contexts of up to 64 attributes run on numpy ``uint64`` words: the intent
 enumeration (subset cubes of the object rows, ``_cube_intents``), the basis
 scan's preclosure (``_WordRules``) and the whole key family (``_word_keys``,
@@ -326,7 +332,7 @@ class _WordRules:
 
 
 def _canonical_basis_scan(
-    ctx: FormalContext, intents: list[AttrSet]
+    ctx: FormalContext, intents: list[AttrSet], keys: _Keys
 ) -> list[tuple[AttrSet, AttrSet]]:
     """Lectic walk of the quasi-closed sets, collecting basis premises.
 
@@ -338,10 +344,37 @@ def _canonical_basis_scan(
     pairs in lectic order.
 
     Every set the walk visits is an intent or a pseudo-intent, and it visits
-    them all, in lectic order.  So, as ``intents`` is the lectic list
-    ``enumerate_intents(ctx)`` returned, a visited set equal to the next
-    intent of that list is its own closure, and any other is a
-    pseudo-intent: ``closure`` runs for the pseudo-intents alone.
+    them all, in lectic order.  ``intents`` must be the lectic list
+    ``enumerate_intents(ctx)`` returned and ``keys`` the key family
+    ``enumerate_keys(ctx)`` returned.  The walk knows in advance two kinds of
+    the sets it visits: the intents, which are their own closures, and the
+    quasi-closed keys (``keys.quasi_closed()``), which come with their
+    closures.  A visited set of neither kind is a pseudo-intent that is not
+    a key, and ``closure`` runs for those alone.
+
+    The quasi-closed keys are the keys K such that the closure of K − {j}
+    lies inside K for every j in K; they are exactly the keys that are
+    intents (the free intents) or pseudo-intents.  A closed key is quasi-
+    closed, as the closure of K − {j} lies inside that of K.  For a key K
+    that is not closed: if every closure of K − {j} lies inside K, then so
+    does the closure of every proper subset Q of K, as Q lies in some
+    K − {j}, and K is a pseudo-intent.  Conversely a pseudo-intent K is
+    quasi-closed: the closure of each subset lies inside K or equals that
+    of K.  As K is a key, the closure of K − {j} is not that of K, so it
+    lies inside K.
+
+    The next quasi-closed key Z after the current set ``a`` needs no
+    preclosure.  Let i be the first attribute in which Z and ``a`` differ;
+    Z holds it, as Z follows ``a``.  The candidate x at i, the attributes
+    of ``a`` before i and i itself, lies inside Z.  The intents and
+    pseudo-intents are closed under intersection, so the smallest of them
+    holding x, its quasi-closure q, lies inside Z.  Every subset of a key
+    is a key, so q is a quasi-closed key.  It agrees with ``a`` before i
+    and holds i, so it follows ``a``, and as a subset of Z it does not
+    follow Z; so q is Z.  The candidates at the attributes after i come
+    first and are tested as usual, as one of them may give a pseudo-intent
+    that is not a key, between ``a`` and Z.  When none does, the candidate
+    at i steps to Z.
 
     Each candidate is preclosed: extended to the smallest superset ``y``
     such that every found premise properly inside ``y`` has its closure in
@@ -381,18 +414,30 @@ def _canonical_basis_scan(
     rules = _WordRules() if n <= 64 else _ScalarRules()
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
+    known, known_closures = keys.quasi_closed()
 
-    # intents[at] is the first intent the walk has not reached yet.
-    at = 0
+    # intents[at] and known[kat] are the first intent and the first
+    # quasi-closed key the walk has not reached yet.
+    at = kat = 0
     a = 0
     while True:
-        if at < len(intents) and intents[at] == a:
-            at += 1
+        if kat < len(known) and known[kat] == a:
+            ca = known_closures[kat]
+            kat += 1
+        elif at < len(intents) and intents[at] == a:
+            ca = a
         else:
             ca = closure(ctx, a)
-            if ca != a:
-                found.append((a, ca))
-                rules.add(a, ca)
+        if ca == a:
+            at += 1
+        else:
+            found.append((a, ca))
+            rules.add(a, ca)
+        # The bit of the candidate that steps to the next quasi-closed key.
+        step = 0
+        if kat < len(known):
+            z = known[kat]
+            step = (z ^ a) & -(z ^ a)
         # The candidates take the attributes a lacks, last first; the ones
         # before the current attribute form its forbidden mask.
         forbidden = full & ~a
@@ -400,6 +445,9 @@ def _canonical_basis_scan(
             i = forbidden.bit_length() - 1
             bit = 1 << i
             forbidden ^= bit
+            if bit == step:
+                a = z
+                break
             x = (a & (bit - 1)) | bit
             x_i, y_i = failed[i]
             if x_i & x == x_i and y_i & forbidden:
@@ -415,21 +463,31 @@ def _canonical_basis_scan(
 
 
 def enumerate_pseudo_intents(
-    ctx: FormalContext, intents: list[AttrSet] | None = None
+    ctx: FormalContext,
+    intents: list[AttrSet] | None = None,
+    keys: _Keys | None = None,
 ) -> list[AttrSet]:
     """The premises of the canonical implication basis, in lectic order.
 
-    ``intents``, when given, must be the list ``enumerate_intents(ctx)``
-    returned; the scan takes it to close only the pseudo-intents it visits.
+    ``intents`` and ``keys``, when given, must be the lists
+    ``enumerate_intents(ctx)`` and ``enumerate_keys(ctx)`` returned; the
+    scan takes both to close only the pseudo-intents that are not keys.
     """
     if intents is None:
         intents = enumerate_intents(ctx)
-    return [p for p, _ in _canonical_basis_scan(ctx, intents)]
+    if keys is None:
+        keys = enumerate_keys(ctx)
+    return [p for p, _ in _canonical_basis_scan(ctx, intents, keys)]
 
 
-def dg_basis(ctx: FormalContext) -> list[Implication]:
-    """The minimum-cardinality implication basis of the context."""
-    scan = _canonical_basis_scan(ctx, enumerate_intents(ctx))
+def dg_basis(ctx: FormalContext, keys: _Keys | None = None) -> list[Implication]:
+    """The minimum-cardinality implication basis of the context.
+
+    ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
+    """
+    if keys is None:
+        keys = enumerate_keys(ctx)
+    scan = _canonical_basis_scan(ctx, enumerate_intents(ctx), keys)
     return [Implication(p, c & ~p) for p, c in scan]
 
 
@@ -559,14 +617,20 @@ def _word_keys(ctx: FormalContext) -> _WordKeys:
 
 class _Keys(list):
     """A context's full key family, in lectic order, with the family's
-    closures, passkeys and proper premises.
+    closures, passkeys, proper premises and quasi-closed keys.
 
-    ``enumerate_keys`` returns one, and the key-family functions below take
-    it as ``keys``.  Each key is closed once for all of them, from the
-    extent the search already holds, and only when one of them needs it.
-    ``closures`` maps each key to its closure and iterates in the keys'
-    lectic order, which the results keep.  ``_ScalarKeys`` works on Python
-    ints, any width; ``_WordKeys`` on ``uint64`` words, up to 64 attributes.
+    ``enumerate_keys`` returns one, and the key-family functions below and
+    the basis scan take it as ``keys``.  Each key is closed once for all of
+    them, from the extent the search already holds, and only when one of
+    them needs it.  ``closures`` maps each key to its closure and iterates
+    in the keys' lectic order, which the results keep.  ``_ScalarKeys``
+    works on Python ints, any width; ``_WordKeys`` on ``uint64`` words, up
+    to 64 attributes.
+
+    Every one-element-removed subset of a key is a key, so the union of a
+    key K with the closures of every K − {j} (``_unions``, kept once
+    computed) takes only closures of the family.  K is a proper premise
+    when that union is not the closure of K, and quasi-closed when it is K.
     """
 
     closures: dict[AttrSet, AttrSet]
@@ -575,6 +639,11 @@ class _Keys(list):
         raise NotImplementedError
 
     def proper_premises(self) -> list[AttrSet]:
+        raise NotImplementedError
+
+    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+        """The quasi-closed keys, which are the keys that are intents or
+        pseudo-intents, and their closures, as two lists in lectic order."""
         raise NotImplementedError
 
 
@@ -597,18 +666,25 @@ class _ScalarKeys(_Keys):
         best = _min_key_sizes(key_closures)
         return [k for k, c in key_closures.items() if k.bit_count() == best[c]]
 
-    def proper_premises(self) -> list[AttrSet]:
-        # Every one-element-removed subset of a key is a key, so the
-        # closures the test needs are those of the family.
+    @cached_property
+    def _unions(self) -> dict[AttrSet, AttrSet]:
         key_closures = self.closures
-        out = []
-        for k, c in key_closures.items():
+        out = {}
+        for k in key_closures:
             u = k
             for j in iter_bits(k):
                 u |= key_closures[k ^ (1 << j)]
-            if u != c:
-                out.append(k)
+            out[k] = u
         return out
+
+    def proper_premises(self) -> list[AttrSet]:
+        unions = self._unions
+        return [k for k, c in self.closures.items() if unions[k] != c]
+
+    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+        unions = self._unions
+        known = [k for k in self if unions[k] == k]
+        return known, [self.closures[k] for k in known]
 
 
 class _WordKeys(_Keys):
@@ -629,9 +705,10 @@ class _WordKeys(_Keys):
         self._columns = columns
         super().__init__(self._masks[self._order].tolist())
 
-    def _lectic(self, flags: np.ndarray) -> list[AttrSet]:
-        """The keys whose ``flags`` entry is set, in lectic order."""
-        return self._masks[self._order[flags[self._order]]].tolist()
+    def _lectic(self, flags: np.ndarray) -> np.ndarray:
+        """The positions of the keys whose ``flags`` entry is set, in
+        lectic order."""
+        return self._order[flags[self._order]]
 
     @cached_property
     def _closure_words(self) -> np.ndarray:
@@ -656,12 +733,12 @@ class _WordKeys(_Keys):
         classes, which = np.unique(self._closure_words, return_inverse=True)
         best = np.full(len(classes), self._sizes[-1])
         np.minimum.at(best, which, self._sizes)
-        return self._lectic(self._sizes == best[which])
+        return self._masks[self._lectic(self._sizes == best[which])].tolist()
 
-    def proper_premises(self) -> list[AttrSet]:
-        # Every one-element-removed subset of a key is a key.  Keys of more
-        # than t bits are a suffix of the level order; round t ORs in the
-        # closure of each one's subset without its t-th lowest bit.
+    @cached_property
+    def _unions(self) -> np.ndarray:
+        # Keys of more than t bits are a suffix of the level order; round t
+        # ORs in the closure of each one's subset without its t-th lowest bit.
         masks, closures = self._masks, self._closure_words
         by_value = np.argsort(masks)
         sorted_masks, sorted_closures = masks[by_value], closures[by_value]
@@ -674,7 +751,14 @@ class _WordKeys(_Keys):
             pos = np.searchsorted(sorted_masks, masks[s:] ^ low)
             union[s:] |= sorted_closures[pos]
             r ^= low
-        return self._lectic(union != closures)
+        return union
+
+    def proper_premises(self) -> list[AttrSet]:
+        return self._masks[self._lectic(self._unions != self._closure_words)].tolist()
+
+    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+        known = self._lectic(self._unions == self._masks)
+        return self._masks[known].tolist(), self._closure_words[known].tolist()
 
 
 def _min_key_sizes(key_closures: dict[AttrSet, AttrSet]) -> dict[AttrSet, int]:
@@ -717,11 +801,11 @@ class ClassIndex:
     """Every characteristic family and the concept lattice of one context.
 
     Each is computed on first use and then kept, so a report or a trial
-    pays only for what it reads, and only once.  Passkeys and proper
-    premises share the one key family and its closures, and the basis scan
-    takes the intents, so that it closes only the pseudo-intents.  The layer
-    functions are looked up by module name at call time, so a wrapper
-    installed over one of them sees every call.
+    pays only for what it reads, and only once.  Passkeys, proper premises
+    and the basis scan share the one key family and its closures, and the
+    scan also takes the intents, so that it closes only the pseudo-intents
+    that are not keys.  The layer functions are looked up by module name at
+    call time, so a wrapper installed over one of them sees every call.
     """
 
     # The five families, in the order the reports list them.
@@ -736,7 +820,7 @@ class ClassIndex:
 
     @cached_property
     def pseudo_intents(self) -> list[AttrSet]:
-        return enumerate_pseudo_intents(self.ctx, self.intents)
+        return enumerate_pseudo_intents(self.ctx, self.intents, self.keys)
 
     @cached_property
     def keys(self) -> _Keys:

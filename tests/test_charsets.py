@@ -34,7 +34,7 @@ from fcakit.charsets import (
     _WordRules,
     min_key_sizes,
 )
-from fcakit.context import LecticWords, bit_reverse, lectic_sorted
+from fcakit.context import LecticWords, bit_reverse, iter_bits, lectic_sorted
 
 from conftest import (
     contexts,
@@ -477,6 +477,11 @@ def scan_step_case(
     return rules, x, ~work & (bit - 1)
 
 
+def basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
+    """The library scan, given the intents and the key family."""
+    return _canonical_basis_scan(ctx, enumerate_intents(ctx), enumerate_keys(ctx))
+
+
 class TestBasisScanKernels:
     """The word-parallel scan (up to 64 attributes) and the scalar one for
     wider contexts, each against the reference loop, list for list."""
@@ -487,12 +492,12 @@ class TestBasisScanKernels:
             170, max_objects=8, max_attrs=10, min_objects=4, min_attrs=6, seed=0xACCE
         ) + fuzz_contexts(30, max_objects=4, max_attrs=4, seed=0xACCE + 1)
         for ctx in corpus:
-            assert _canonical_basis_scan(ctx, enumerate_intents(ctx)) == scalar_basis_scan(ctx)
+            assert basis_scan(ctx) == scalar_basis_scan(ctx)
 
     @pytest.mark.parametrize("width", [62, 63, 64])
     def test_word_path_near_64_bits(self, width):
         ctx = wide_context(width, 6, seed=width)
-        found = _canonical_basis_scan(ctx, enumerate_intents(ctx))
+        found = basis_scan(ctx)
         assert found == scalar_basis_scan(ctx)
         top = 1 << (width - 1)
         assert any(p & top for p, _ in found)
@@ -500,7 +505,7 @@ class TestBasisScanKernels:
     @pytest.mark.parametrize("width", [65, 70])
     def test_scalar_path_beyond_64_bits(self, width):
         ctx = wide_context(width, 6, seed=width)
-        found = _canonical_basis_scan(ctx, enumerate_intents(ctx))
+        found = basis_scan(ctx)
         assert found == scalar_basis_scan(ctx)
         assert any(p >> 64 for p, _ in found)
 
@@ -531,7 +536,7 @@ class TestBasisScanKernels:
 
     def test_realistic_scale(self):
         ctx = realistic_context()
-        assert _canonical_basis_scan(ctx, enumerate_intents(ctx)) == scalar_basis_scan(ctx)
+        assert basis_scan(ctx) == scalar_basis_scan(ctx)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -548,24 +553,32 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 class TestPseudoIntentsFromIntents:
-    """The scan takes the intents on every route: ``enumerate_pseudo_intents``
-    with and without them, and ``dg_basis``, give the same premises, with
-    ``closure`` run for the pseudo-intents alone."""
+    """The scan takes the intents and the key family on every route:
+    ``enumerate_pseudo_intents`` with and without each of them, and
+    ``dg_basis`` with and without the keys, give the same premises, with
+    ``closure`` run for the pseudo-intents that are not keys alone, in
+    lectic order."""
 
     def assert_same_scan(self, monkeypatch, ctx: FormalContext) -> list[int]:
         closures = count_calls(monkeypatch, charsets, "closure")
         intents = enumerate_intents(ctx)
+        keys = enumerate_keys(ctx)
         plain = enumerate_pseudo_intents(ctx)
+        key_set = set(keys)
+        unkeyed = [p for p in plain if p not in key_set]
         routes = {
             "plain": lambda: plain,
-            "given": lambda: enumerate_pseudo_intents(ctx, intents),
+            "intents": lambda: enumerate_pseudo_intents(ctx, intents),
+            "keys": lambda: enumerate_pseudo_intents(ctx, keys=keys),
+            "both": lambda: enumerate_pseudo_intents(ctx, intents, keys),
             "dg_basis": lambda: [imp.premise for imp in dg_basis(ctx)],
+            "dg_basis keys": lambda: [imp.premise for imp in dg_basis(ctx, keys)],
         }
         for route, premises in routes.items():
             assert premises() == plain, route
-            assert [attrs for _, attrs in closures] == plain, route
+            assert [attrs for _, attrs in closures] == unkeyed, route
             closures.clear()
-        assert _canonical_basis_scan(ctx, intents) == scalar_basis_scan(ctx)
+        assert _canonical_basis_scan(ctx, intents, keys) == scalar_basis_scan(ctx)
         return plain
 
     def test_fuzz_corpus_against_oracle(self, monkeypatch):
@@ -575,32 +588,37 @@ class TestPseudoIntentsFromIntents:
 
     def test_realistic_scale(self, monkeypatch):
         # ``test_realistic_scale_families_match_oracle`` holds this context's
-        # ``ClassIndex`` families, which pass the intents, to the oracle.
+        # ``ClassIndex`` families, which pass the intents and the keys, to
+        # the oracle.
         self.assert_same_scan(monkeypatch, realistic_context())
 
     @pytest.mark.parametrize("width", [64, 65, 70])
     def test_both_rule_stores(self, monkeypatch, width):
         # Up to 64 attributes the scan keeps its rules in ``_WordRules``,
-        # above that in ``_ScalarRules``: one store for each of the three
+        # above that in ``_ScalarRules``: one store for each of the six
         # routes and the last scan.
         ctx = wide_context(width, 6, seed=width)
         stores = count_calls(monkeypatch, charsets, "_WordRules" if width <= 64 else "_ScalarRules")
         pseudo = self.assert_same_scan(monkeypatch, ctx)
-        assert len(stores) == 4 and pseudo
+        assert len(stores) == 7 and pseudo
         assert any(p >> 63 for p in pseudo)
 
     def test_class_index_closes_only_the_pseudo_intents(self, monkeypatch):
+        # Only those that are not keys: the others come with the key family.
         ctx = realistic_context()
         want = enumerate_pseudo_intents(ctx)
         intent_calls = count_calls(monkeypatch, charsets, "enumerate_intents")
+        key_calls = count_calls(monkeypatch, charsets, "enumerate_keys")
         closures = count_calls(monkeypatch, charsets, "closure")
         index = index_classes(ctx)
         index.intents
         pseudo = index.pseudo_intents
         assert pseudo == want
-        assert len(intent_calls) == 1
-        assert [attrs for _, attrs in closures] == pseudo
-        assert pseudo
+        assert len(intent_calls) == len(key_calls) == 1
+        key_set = set(index.keys)
+        unkeyed = [p for p in pseudo if p not in key_set]
+        assert [attrs for _, attrs in closures] == unkeyed
+        assert unkeyed and len(unkeyed) < len(pseudo)
 
 
 def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]], list]:
@@ -626,22 +644,36 @@ def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]],
 
     monkeypatch.setattr(charsets, "_WordRules", recording(_WordRules))
     monkeypatch.setattr(charsets, "_ScalarRules", recording(_ScalarRules))
-    return _canonical_basis_scan(ctx, enumerate_intents(ctx)), log
+    return basis_scan(ctx), log
 
 
-def skipped_candidates(
-    ctx: FormalContext, log: list
-) -> tuple[list[tuple[int, int]], list[tuple[int, int, list[tuple[int, int]]]]]:
+def quasi_closed_keys(ctx: FormalContext) -> list[int]:
+    """The keys K whose every K - {j} closes inside K, by ``closure``, in
+    lectic order: the keys that are intents or pseudo-intents."""
+    return [
+        k
+        for k in enumerate_keys(ctx)
+        if all(closure(ctx, k ^ (1 << j)) & ~k == 0 for j in iter_bits(k))
+    ]
+
+
+def skipped_candidates(ctx: FormalContext, log: list) -> tuple[list, list, list]:
     """Replay the scan's candidate walk against its store log.
 
-    Every candidate the log does not show being preclosed was rejected by an
-    inherited test.  Returns the rules the log added and, for each such
-    candidate, ``(x, forbidden, rules found before it)``.
+    The candidate at the first attribute in which the next quasi-closed key
+    Z differs from the current set steps to Z without a preclosure, unless
+    an earlier candidate was accepted.  Every other candidate the log does
+    not show being preclosed was rejected by an inherited test.  Returns
+    the rules the log added; for each inherited rejection ``(x, forbidden,
+    rules found before it)``; and for each key step ``(x, forbidden, Z,
+    rules found before it)``.
     """
     n = ctx.n_attrs
+    known = quasi_closed_keys(ctx)
     rules: list[tuple[int, int]] = []
     skipped = []
-    pos = 0
+    stepped = []
+    pos = kat = 0
     a = 0
     while True:
         ca = closure(ctx, a)
@@ -649,8 +681,14 @@ def skipped_candidates(
             assert log[pos] == ("add", a, ca)
             pos += 1
             rules.append((a, ca))
+        if kat < len(known) and known[kat] == a:
+            kat += 1
         if a == ctx.attribute_universe:
             break
+        step = 0
+        if kat < len(known):
+            diff = known[kat] ^ a
+            step = diff & -diff
         nxt = None
         work = a
         for i in range(n - 1, -1, -1):
@@ -659,6 +697,10 @@ def skipped_candidates(
                 work ^= bit
                 continue
             x, forbidden = work | bit, ~work & (bit - 1)
+            if bit == step:
+                stepped.append((x, forbidden, known[kat], rules[:]))
+                nxt = known[kat]
+                break
             if pos < len(log) and log[pos][:3] == ("preclose", x, forbidden):
                 y = log[pos][3]
                 pos += 1
@@ -670,13 +712,15 @@ def skipped_candidates(
         if nxt is None:
             break
         a = nxt
-    assert pos == len(log)
-    return rules, skipped
+    assert pos == len(log) and kat == len(known)
+    return rules, skipped, stepped
 
 
 class TestInheritedRejection:
     """Candidates the scan rejects from an earlier failed test, without a
-    preclosure: they must exist, and each must really be rejected."""
+    preclosure: they must exist, and each must really be rejected.  So must
+    the candidates that step to a quasi-closed key without one, and each
+    must really reach that key."""
 
     def test_skips_preclose_calls_at_realistic_scale(self, monkeypatch):
         ctx = realistic_context()
@@ -687,14 +731,17 @@ class TestInheritedRejection:
         # One record per attribute skips about a third of the candidates
         # here; records shared by all attributes would skip under 2 %.
         assert len(calls) < 0.8 * len(tested)
-        _, skipped = skipped_candidates(ctx, log)
-        assert len(calls) + len(skipped) == len(tested)
+        _, skipped, stepped = skipped_candidates(ctx, log)
+        assert len(calls) + len(skipped) + len(stepped) == len(tested)
+        assert stepped and len(skipped) > 0.25 * len(tested)
 
     @pytest.mark.parametrize(
         "corpus",
         [
             lambda: [realistic_context()],
-            lambda: [wide_context(64, 6, seed=64)],
+            # With 6 objects the only quasi-closed key at 64 attributes is
+            # the empty set, which the scan starts from; with 8 it steps.
+            lambda: [wide_context(64, 6, seed=64), wide_context(64, 8, seed=64)],
             lambda: [wide_context(70, 6, seed=70)],
             lambda: fuzz_contexts(
                 170, max_objects=8, max_attrs=10, min_objects=4, min_attrs=6, seed=0xACCE
@@ -703,15 +750,72 @@ class TestInheritedRejection:
         ids=["403x16", "word-64", "scalar-70", "fuzz"],
     )
     def test_skipped_candidates_fixpoint_meets_forbidden(self, monkeypatch, corpus):
-        n_skipped = 0
+        n_skipped = n_stepped = 0
         for ctx in corpus():
             found, log = record_scan(monkeypatch, ctx)
-            rules, skipped = skipped_candidates(ctx, log)
+            rules, skipped, stepped = skipped_candidates(ctx, log)
             assert rules == found
             n_skipped += len(skipped)
+            n_stepped += len(stepped)
             for x, forbidden, current in skipped:
                 assert reference_preclose(current, x) & forbidden
-        assert n_skipped
+            for x, forbidden, key, current in stepped:
+                assert reference_preclose(current, x) == key and not key & forbidden
+        assert n_skipped and n_stepped
+
+
+class TestQuasiClosedKeys:
+    """The keys the scan steps to, ``keys.quasi_closed()``: the keys that
+    are intents or pseudo-intents, with their closures, in lectic order."""
+
+    @staticmethod
+    def assert_match_oracle(ctx: FormalContext) -> None:
+        oracle = brute_force_all(ctx)
+        visited = set(oracle["intent"]) | set(oracle["pseudo_intent"])
+        want = [k for k in oracle["key"] if k in visited]
+        assert enumerate_keys(ctx).quasi_closed() == (want, [closure(ctx, k) for k in want])
+
+    def test_fuzz_corpus_against_oracle(self):
+        for ctx in acceptance_corpus():
+            self.assert_match_oracle(ctx)
+
+    def test_realistic_scale(self):
+        self.assert_match_oracle(realistic_context())
+
+    @pytest.mark.parametrize("width", [64, 65, 70])
+    def test_near_and_beyond_64_bits(self, width):
+        # Up to 64 attributes the word family and its scalar twin agree.
+        # At every width both parts hold to the definition, to the scan's
+        # pseudo-intents that are keys and to the intents that are keys.
+        ctx = wide_context(width, 8, seed=width)
+        family = charsets._scalar_keys(ctx)
+        known, closures = got = family.quasi_closed()
+        if width <= 64:
+            assert charsets._word_keys(ctx).quasi_closed() == got
+        assert known == quasi_closed_keys(ctx)
+        assert closures == [closure(ctx, k) for k in known]
+        keys = set(family)
+        pseudo = [p for p, _ in scalar_basis_scan(ctx)]
+        assert [k for k, c in zip(*got) if k != c] == [p for p in pseudo if p in keys]
+        assert [k for k, c in zip(*got) if k == c] == [
+            i for i in enumerate_intents(ctx) if i in keys
+        ]
+        assert any(k >> 63 for k in known) and any(k != c for k, c in zip(*got))
+
+    def test_every_intent_free_needs_no_preclosure(self, monkeypatch):
+        # Every subset of the 8x8 contranominal scale is a free intent, so
+        # every candidate the scan accepts steps to a key.
+        ctx = contranominal_context(8)
+        closures = count_calls(monkeypatch, charsets, "closure")
+        found, log = record_scan(monkeypatch, ctx)
+        assert found == [] and log == [] and closures == []
+        _, skipped, stepped = skipped_candidates(ctx, log)
+        assert skipped == [] and len(stepped) == 255
+
+    def test_toy_still_closes_its_unkeyed_pseudo_intent(self, monkeypatch, toy):
+        closures = count_calls(monkeypatch, charsets, "closure")
+        assert enumerate_pseudo_intents(toy) == brute_force_class(toy, "pseudo_intent")
+        assert [attrs for _, attrs in closures] == [toy.attrs_mask("abc")]
 
 
 def test_realistic_scale_families_match_oracle():
@@ -966,6 +1070,7 @@ def key_families(keys) -> dict[str, list]:
         "closures": list(keys.closures.items()),
         "passkey": keys.passkeys(),
         "proper_premise": keys.proper_premises(),
+        "quasi_closed": keys.quasi_closed(),
     }
 
 
