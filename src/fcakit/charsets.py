@@ -22,13 +22,15 @@ the keys that are intents or pseudo-intents, and their closures, come from
 the key family, so the scan steps to each of them without a preclosure
 and closes only the pseudo-intents that are not keys.
 
-Contexts of up to 64 attributes run on numpy ``uint64`` words: the intent
-enumeration (subset cubes of the object rows, ``_cube_intents``), the basis
-scan's preclosure (``_WordRules``) and the whole key family (``_word_keys``,
-``_WordKeys``).  Wider contexts run the same
-algorithms on Python ints (``_ScalarRules``, ``_scalar_keys``,
-``_ScalarKeys``), which stay as the differential twins of the word paths.
-The brute-force oracles and the one-subset ``classify`` live in the tests.
+The intent enumeration (subset cubes of the object rows, ``_cube_intents``)
+and the whole key family (``enumerate_keys``, ``_Keys``) run on numpy arrays
+of attribute masks at every width: ``uint64`` words up to 64 attributes,
+``object`` arrays of Python ints above (``context.mask_dtype``).  Object
+sets, such as the extents of the keys, are always ``uint64`` words.  Only
+the basis scan's preclosure has two stores: ``_WordRules`` on words up to
+64 attributes, ``_ScalarRules`` on Python ints above.  The brute-force
+oracles, the one-subset ``classify`` and the Python twins of the array
+paths live in the tests.
 """
 
 from __future__ import annotations
@@ -47,14 +49,12 @@ from .context import (
     LecticWords,
     ObjSet,
     closure,
-    intent_of,
-    iter_bits,
     lectic_order,
-    lectic_sorted,
+    mask_dtype,
     popcounts,
 )
 
-# The word key search builds candidates, and closes keys, in blocks of about
+# The key search builds candidates, and closes keys, in blocks of about
 # this many extent words (256 KB per array), as the lattice pair pass does;
 # the intent cubes and their row traces go in blocks of this many cells.
 _BLOCK_WORDS = 1 << 15
@@ -104,8 +104,8 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     other than M lies inside some row r, and the intents inside r are the
     intersections of the traces r & g of all rows g, r itself among them.
 
-    Contexts of up to 64 attributes work on ``uint64`` words and return a
-    ``LecticWords`` list, which carries its word array to the lattice.  A
+    The masks are one array of ``mask_dtype(n)``, and the result is a
+    ``LecticWords`` list, which carries that array to the lattice.  A
     distinct row of at most ``_ROW_CUBE_BITS`` attributes finds the intents
     inside it in its subset cube (`_cube_intents`): cell T of the cube ends
     up holding the intersection of the traces that contain T, and T is an
@@ -116,8 +116,6 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     every intersection of wide rows; an intent inside no small row is the
     intersection of the wide rows containing it, so it is among them.  One
     lectic sort of the two parts then drops the intents found by both.
-    Wider contexts run the incremental loop on a Python set; all paths
-    give the same list.
 
     The cubes also count the two terms of the lattice indices for each
     intent C they find (`_intent_terms`): f(C), the intents inside C, and
@@ -128,12 +126,7 @@ def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
     intent enumeration pays for them, whether or not an index is asked for.
     """
     n = ctx.n_attrs
-    if n > 64:
-        family = {ctx.attribute_universe}
-        for row in ctx.rows:
-            family.update([f & row for f in family])
-        return lectic_sorted(family, n)
-    rows = np.array(list(dict.fromkeys(ctx.rows)), dtype=np.uint64)
+    rows = np.array(list(dict.fromkeys(ctx.rows)), dtype=mask_dtype(n))
     sizes = popcounts(rows)
     order = np.argsort(sizes, kind="stable")
     rows, sizes = rows[order], sizes[order]
@@ -163,7 +156,7 @@ def _incremental_intents(rows: np.ndarray, universe: AttrSet) -> np.ndarray:
     """
     # The universe is the largest word and always a member, so every search
     # position below is a valid index.
-    fam = np.array([universe], dtype=np.uint64)
+    fam = np.array([universe], dtype=rows.dtype)
     for row in rows:
         cand = np.sort(fam & row)
         distinct = np.ones(len(cand), dtype=bool)
@@ -178,7 +171,8 @@ def _incremental_intents(rows: np.ndarray, universe: AttrSet) -> np.ndarray:
 def _cube_intents(
     rows: np.ndarray, sizes: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The intents inside the small rows, each once, as ``uint64`` masks.
+    """The intents inside the small rows, each once, as masks of the rows'
+    dtype.
 
     ``rows`` are the distinct object rows of an ``n``-attribute context
     ordered by attribute count; the first ``len(sizes)`` of them, of
@@ -238,8 +232,8 @@ def _cube_intents(
             found_terms.append(terms[:, hit_cell, hit_row])
     row_of = np.concatenate(found_rows)
     cell = np.concatenate(found_cells)
-    bits = np.left_shift(np.uint64(1), attrs.astype(np.uint64))
-    masks = np.zeros(len(cell), dtype=np.uint64)
+    bits = np.left_shift(rows.dtype.type(1), attrs.astype(rows.dtype))
+    masks = np.zeros(len(cell), dtype=rows.dtype)
     for t in range(int(sizes[-1])):
         has = (cell >> t) & 1 == 1
         masks[has] |= bits[row_of[has], t]
@@ -512,41 +506,71 @@ def enumerate_keys(ctx: FormalContext) -> _Keys:
     a key if every one-element-removed subset is a key (freeness is
     anti-monotone), so level ``k + 1`` candidates are built from level-``k``
     keys and rejected as soon as a single-element removal preserves the
-    extent.  Contexts of up to 64 attributes search on ``uint64`` words
-    (``_word_keys``), wider ones on Python ints (``_scalar_keys``); both
-    give the same keys, closures, passkeys and proper premises.
+    extent.
+
+    Each level is a sorted array of key masks, of ``mask_dtype``, and a
+    block of their extents, one column of ``uint64`` words per key.  The
+    candidates of a level are every key ``p`` with every attribute ``m``
+    above its top bit.  For each ``m`` their parents are the keys below
+    ``1 << m``, a prefix of the level, so walking ``m`` upwards lists the
+    candidates in ascending order and the next level needs no sort.  They
+    are built in blocks of about ``_BLOCK_WORDS`` extent words.  A
+    candidate with its parent's extent is rejected first.
+
+    Each key also keeps the positions, one level down, of its subsets
+    without one attribute (``subs``, one row per attribute, lowest first),
+    so a candidate's own such subsets are found by index, not by value: the
+    candidate ``p | 1 << m`` without the t-th lowest attribute of ``p`` is
+    the candidate of the level before made of ``p``'s subset without it
+    and ``m``.  ``rank`` maps each candidate of the level before to its
+    position in the level, or -1 when it was rejected; a missing subset or
+    one with the candidate's extent rejects the candidate.
 
     The list returned also carries the extent of every key it found, so the
     key-family functions below close each key from its extent.
     """
-    return _word_keys(ctx) if ctx.n_attrs <= 64 else _scalar_keys(ctx)
-
-
-def _scalar_keys(ctx: FormalContext) -> _ScalarKeys:
-    """The levelwise key search on Python ints, any width."""
     n = ctx.n_attrs
-    cols = ctx.columns
-    extents: dict[int, int] = {0: ctx.object_universe}
-    prev = extents.copy()
-    while prev:
-        cur: dict[int, int] = {}
-        for kmask, kext in prev.items():
-            for m in range(kmask.bit_length(), n):
-                cand = kmask | (1 << m)
-                cext = kext & cols[m]
-                if cext == kext:
-                    continue
-                good = True
-                for j in iter_bits(kmask):
-                    sub_ext = prev.get(cand ^ (1 << j))
-                    if sub_ext is None or sub_ext == cext:
-                        good = False
-                        break
-                if good:
-                    cur[cand] = cext
-        extents.update(cur)
-        prev = cur
-    return _ScalarKeys(ctx, lectic_sorted(extents, n), extents)
+    n_words = max(1, -(-ctx.n_objects // 64))
+    cols = _object_words(ctx.columns, n_words)
+    bits = np.array([1 << j for j in range(n)], dtype=mask_dtype(n))
+    step = max(1, _BLOCK_WORDS // n_words)
+    masks = np.zeros(1, dtype=bits.dtype)
+    exts = _object_words([ctx.object_universe], n_words)
+    subs = np.zeros((0, 1), dtype=np.intp)
+    levels = [(masks, exts, subs)]
+    # The empty key has no subsets to look up.
+    rank = prev_first = np.zeros(0, dtype=np.intp)
+    while True:
+        parents = np.searchsorted(masks, bits)
+        total = int(parents.sum())
+        if not total:
+            break
+        attr = np.repeat(np.arange(n), parents)
+        first = np.cumsum(parents) - parents
+        parent = np.arange(total) - np.repeat(first, parents)
+        found = []
+        for s in range(0, total, step):
+            flat = np.arange(s, min(total, s + step))
+            par, att = parent[flat], attr[flat]
+            pext = exts.take(par, axis=1)
+            cext = pext & cols.take(att, axis=1)
+            keep = (cext != pext).any(axis=0)
+            flat, par, att, cext = flat[keep], par[keep], att[keep], cext[:, keep]
+            found_subs = []
+            for t in range(len(subs)):
+                pos = rank[prev_first[att] + subs[t, par]]
+                keep = (pos >= 0) & (exts.take(pos, axis=1) != cext).any(axis=0)
+                flat, par, att, cext = flat[keep], par[keep], att[keep], cext[:, keep]
+                found_subs = [row[keep] for row in found_subs] + [pos[keep]]
+            found.append((masks[par] | bits[att], cext, np.array(found_subs + [par]), flat))
+        masks = np.concatenate([c for c, _, _, _ in found])
+        exts = np.concatenate([e for _, e, _, _ in found], axis=1)
+        subs = np.concatenate([p for _, _, p, _ in found], axis=1)
+        levels.append((masks, exts, subs))
+        rank = np.full(total, -1)
+        rank[np.concatenate([f for _, _, _, f in found])] = np.arange(len(masks))
+        prev_first = first
+    return _Keys(cols, levels)
 
 
 def _object_words(masks: Iterable[ObjSet], n_words: int) -> np.ndarray:
@@ -558,63 +582,6 @@ def _object_words(masks: Iterable[ObjSet], n_words: int) -> np.ndarray:
     return np.ascontiguousarray(rows.T, dtype=np.uint64)
 
 
-def _word_keys(ctx: FormalContext) -> _WordKeys:
-    """The levelwise key search on ``uint64`` words, up to 64 attributes.
-
-    Each level is a sorted ``uint64`` array of key masks and a block of
-    their extents, one column of words per key.  The candidates of a level
-    are every key ``k`` with every attribute ``m`` above its top bit.  For
-    each ``m`` their parents are the keys below ``1 << m``, a prefix of the
-    level, so walking ``m`` upwards lists the candidates in ascending order
-    and the next level needs no sort.  They are built in blocks of about
-    ``_BLOCK_WORDS`` extent words.  A candidate with its parent's extent is
-    rejected first; then its one-removed subsets are looked up in the level
-    by binary search, one bit of the parent at a time (lowest first), and a
-    missing subset or one with the candidate's extent rejects it.
-    """
-    n = ctx.n_attrs
-    n_words = max(1, -(-ctx.n_objects // 64))
-    cols = _object_words(ctx.columns, n_words)
-    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    step = max(1, _BLOCK_WORDS // n_words)
-    masks = np.zeros(1, dtype=np.uint64)
-    exts = _object_words([ctx.object_universe], n_words)
-    levels = [(masks, exts)]
-    size = 0
-    while True:
-        parents = np.searchsorted(masks, bits)
-        total = int(parents.sum())
-        if not total:
-            break
-        attr = np.repeat(np.arange(n), parents)
-        parent = np.arange(total) - np.repeat(np.cumsum(parents) - parents, parents)
-        found = []
-        for s in range(0, total, step):
-            par = parent[s : s + step]
-            att = attr[s : s + step]
-            pext = exts.take(par, axis=1)
-            cext = pext & cols.take(att, axis=1)
-            keep = (cext != pext).any(axis=0)
-            par, att, cext = par[keep], att[keep], cext[:, keep]
-            rest = masks[par]
-            cand = rest | bits[att]
-            for _ in range(size):
-                low = rest & (~rest + np.uint64(1))
-                sub = cand ^ low
-                # A subset above every key of the level is missing, as is
-                # one whose clipped position holds another mask.
-                pos = np.minimum(np.searchsorted(masks, sub), len(masks) - 1)
-                keep = masks[pos] == sub
-                keep &= (exts.take(pos, axis=1) != cext).any(axis=0)
-                cand, cext, rest = cand[keep], cext[:, keep], rest[keep] ^ low[keep]
-            found.append((cand, cext))
-        masks = np.concatenate([c for c, _ in found])
-        exts = np.concatenate([e for _, e in found], axis=1)
-        levels.append((masks, exts))
-        size += 1
-    return _WordKeys(cols, levels)
-
-
 class _Keys(list):
     """A context's full key family, in lectic order, with the family's
     closures, passkeys, proper premises and quasi-closed keys.
@@ -623,9 +590,12 @@ class _Keys(list):
     the basis scan take it as ``keys``.  Each key is closed once for all of
     them, from the extent the search already holds, and only when one of
     them needs it.  ``closures`` maps each key to its closure and iterates
-    in the keys' lectic order, which the results keep.  ``_ScalarKeys``
-    works on Python ints, any width; ``_WordKeys`` on ``uint64`` words, up
-    to 64 attributes.
+    in the keys' lectic order, which the results keep.
+
+    The family is held as arrays, level after level: ``_masks`` and
+    ``_sizes`` hold each key, of ``mask_dtype``, and its size (its level),
+    and column ``i`` of ``_extents`` its extent words, levels in order and
+    each level sorted; ``_order`` is the permutation to lectic order.
 
     Every one-element-removed subset of a key is a key, so the union of a
     key K with the closures of every K − {j} (``_unions``, kept once
@@ -633,74 +603,16 @@ class _Keys(list):
     when that union is not the closure of K, and quasi-closed when it is K.
     """
 
-    closures: dict[AttrSet, AttrSet]
-
-    def passkeys(self) -> list[AttrSet]:
-        raise NotImplementedError
-
-    def proper_premises(self) -> list[AttrSet]:
-        raise NotImplementedError
-
-    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
-        """The quasi-closed keys, which are the keys that are intents or
-        pseudo-intents, and their closures, as two lists in lectic order."""
-        raise NotImplementedError
-
-
-class _ScalarKeys(_Keys):
-    """The key family as Python ints, each key's extent in a dict."""
-
     def __init__(
-        self, ctx: FormalContext, keys: list[AttrSet], extents: dict[AttrSet, ObjSet]
+        self,
+        columns: np.ndarray,
+        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> None:
-        super().__init__(keys)
-        self._ctx = ctx
-        self._extents = extents
-
-    @cached_property
-    def closures(self) -> dict[AttrSet, AttrSet]:
-        return {k: intent_of(self._ctx, self._extents[k]) for k in self}
-
-    def passkeys(self) -> list[AttrSet]:
-        key_closures = self.closures
-        best = _min_key_sizes(key_closures)
-        return [k for k, c in key_closures.items() if k.bit_count() == best[c]]
-
-    @cached_property
-    def _unions(self) -> dict[AttrSet, AttrSet]:
-        key_closures = self.closures
-        out = {}
-        for k in key_closures:
-            u = k
-            for j in iter_bits(k):
-                u |= key_closures[k ^ (1 << j)]
-            out[k] = u
-        return out
-
-    def proper_premises(self) -> list[AttrSet]:
-        unions = self._unions
-        return [k for k, c in self.closures.items() if unions[k] != c]
-
-    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
-        unions = self._unions
-        known = [k for k in self if unions[k] == k]
-        return known, [self.closures[k] for k in known]
-
-
-class _WordKeys(_Keys):
-    """The key family as ``uint64`` arrays, level after level.
-
-    ``_masks`` and ``_sizes`` hold each key and its size (its level), and
-    column ``i`` of ``_extents`` its extent words, levels in order and each
-    level sorted; ``_order`` is the permutation to lectic order.
-    """
-
-    def __init__(
-        self, columns: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]
-    ) -> None:
-        self._masks = np.concatenate([m for m, _ in levels])
-        self._extents = np.concatenate([e for _, e in levels], axis=1)
-        self._sizes = np.repeat(np.arange(len(levels)), [len(m) for m, _ in levels])
+        self._masks = np.concatenate([m for m, _, _ in levels])
+        self._extents = np.concatenate([e for _, e, _ in levels], axis=1)
+        counts = [len(m) for m, _, _ in levels]
+        self._sizes = np.repeat(np.arange(len(levels)), counts)
+        self._subs = [p for _, _, p in levels]
         self._order = lectic_order(self._masks)
         self._columns = columns
         super().__init__(self._masks[self._order].tolist())
@@ -713,16 +625,20 @@ class _WordKeys(_Keys):
     @cached_property
     def _closure_words(self) -> np.ndarray:
         """Each key's closure: attribute ``j`` is in it when the extent lies
-        inside column ``j`` on every word."""
+        inside column ``j`` on every word.  Each 64 attributes gather in one
+        ``uint64`` word, shifted into the closures once."""
         exts = self._extents
-        out = np.zeros(exts.shape[1], dtype=np.uint64)
+        n = self._columns.shape[1]
+        out = np.zeros(exts.shape[1], dtype=self._masks.dtype)
         step = max(1, _BLOCK_WORDS // exts.shape[0])
         for s in range(0, exts.shape[1], step):
             ext = exts[:, s : s + step]
-            acc = out[s : s + step]
-            for j in range(self._columns.shape[1]):
-                inside = ((ext & self._columns[:, j, None]) == ext).all(axis=0)
-                np.bitwise_or(acc, np.uint64(1 << j), out=acc, where=inside)
+            for w in range(0, n, 64):
+                word = np.zeros(ext.shape[1], dtype=np.uint64)
+                for j in range(w, min(n, w + 64)):
+                    inside = ((ext & self._columns[:, j, None]) == ext).all(axis=0)
+                    np.bitwise_or(word, np.uint64(1 << (j - w)), out=word, where=inside)
+                out[s : s + step] |= word.astype(out.dtype) << w
         return out
 
     @cached_property
@@ -737,37 +653,25 @@ class _WordKeys(_Keys):
 
     @cached_property
     def _unions(self) -> np.ndarray:
-        # Keys of more than t bits are a suffix of the level order; round t
-        # ORs in the closure of each one's subset without its t-th lowest bit.
-        masks, closures = self._masks, self._closure_words
-        by_value = np.argsort(masks)
-        sorted_masks, sorted_closures = masks[by_value], closures[by_value]
-        union = masks.copy()
-        rest = masks.copy()
-        for t in range(int(self._sizes[-1])):
-            s = int(np.searchsorted(self._sizes, t + 1))
-            r = rest[s:]
-            low = r & (~r + np.uint64(1))
-            pos = np.searchsorted(sorted_masks, masks[s:] ^ low)
-            union[s:] |= sorted_closures[pos]
-            r ^= low
+        # Level k starts at start[k]; each key ORs in the closures of its
+        # one-removed subsets, at the positions ``subs`` keeps one level down.
+        union = self._masks.copy()
+        closures = self._closure_words
+        start = np.searchsorted(self._sizes, np.arange(len(self._subs) + 1))
+        for k, subs in enumerate(self._subs[1:], 1):
+            level = union[start[k] : start[k + 1]]
+            for row in subs:
+                level |= closures[start[k - 1] + row]
         return union
 
     def proper_premises(self) -> list[AttrSet]:
         return self._masks[self._lectic(self._unions != self._closure_words)].tolist()
 
     def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+        """The quasi-closed keys, which are the keys that are intents or
+        pseudo-intents, and their closures, as two lists in lectic order."""
         known = self._lectic(self._unions == self._masks)
         return self._masks[known].tolist(), self._closure_words[known].tolist()
-
-
-def _min_key_sizes(key_closures: dict[AttrSet, AttrSet]) -> dict[AttrSet, int]:
-    best: dict[int, int] = {}
-    for k, c in key_closures.items():
-        size = k.bit_count()
-        if c not in best or size < best[c]:
-            best[c] = size
-    return best
 
 
 def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[AttrSet]:
@@ -794,7 +698,12 @@ def enumerate_proper_premises(
 
 def min_key_sizes(ctx: FormalContext) -> dict[AttrSet, int]:
     """Minimum key cardinality per intent, keyed by the intent mask."""
-    return _min_key_sizes(enumerate_keys(ctx).closures)
+    best: dict[AttrSet, int] = {}
+    for k, c in enumerate_keys(ctx).closures.items():
+        size = k.bit_count()
+        if c not in best or size < best[c]:
+            best[c] = size
+    return best
 
 
 class ClassIndex:
@@ -841,12 +750,12 @@ class ClassIndex:
     def sizes(self, family: str) -> dict[int, int]:
         """Member count per element size of the family named ``family``.
 
-        A family that holds its members' words (the intents) or their sizes
-        (the key family on words) counts them in one ``bincount``."""
+        A family that holds its members' masks (the intents) or their sizes
+        (the key family) counts them in one ``bincount``."""
         members = getattr(self, family)
         if isinstance(members, LecticWords):
             counts = np.bincount(popcounts(members.words))
-        elif isinstance(members, _WordKeys):
+        elif isinstance(members, _Keys):
             counts = np.bincount(members._sizes)
         else:
             return Counter(mask.bit_count() for mask in members)

@@ -11,8 +11,13 @@ refused above ``POWERSET_SCAN_LIMIT`` attributes.
 The canonical ("lectic") order used throughout treats the first attribute as
 most significant: a mask's rank is its bit-reversal within the context width.
 ``lectic_sorted`` sorts Python ints by that rank, ``lectic_order`` sorts
-``uint64`` word arrays through a byte table, and a ``LecticWords`` list
-carries its sorted word array along.
+mask arrays, and a ``LecticWords`` list carries its sorted array along.
+
+The numpy paths hold masks in one array whose dtype ``mask_dtype`` picks
+from the width: ``uint64`` words up to 64 bits, ``object`` arrays of the
+same Python ints above.  The same array code runs on both; only
+``lectic_order``, ``popcounts`` and the lattice's member hash look at the
+dtype.
 """
 
 from __future__ import annotations
@@ -68,16 +73,31 @@ def lectic_sorted(masks: Iterable[int], width: int) -> list[int]:
 _REV8 = np.array([bit_reverse(b, 8) for b in range(256)], dtype=np.uint8)
 
 
-def lectic_order(words: np.ndarray) -> np.ndarray:
-    """The permutation that sorts a ``uint64`` array of masks lectically.
+def mask_dtype(width: int) -> np.dtype:
+    """The dtype of an array of ``width``-bit masks: ``uint64`` up to 64
+    bits, ``object`` (Python ints) above."""
+    return np.dtype(np.uint64 if width <= 64 else object)
 
-    The word path's twin of ``lectic_sorted``, for masks of any width up to
-    64.  Each word is bit-reversed as a whole: every byte through a table,
-    then the byte order.  A mask of a ``width``-attribute context has no bit
-    at or above ``width``, so its 64-bit reversal is its ``width``-bit one
-    shifted left by ``64 - width``, which sorts alike.  No shift is made,
-    so width 0 (all masks empty) needs no special case.
+
+def lectic_order(words: np.ndarray) -> np.ndarray:
+    """The permutation that sorts an array of masks lectically.
+
+    The array twin of ``lectic_sorted``.  A ``uint64`` array has each word
+    bit-reversed as a whole: every byte through a table, then the byte
+    order.  A mask of a ``width``-attribute context has no bit at or above
+    ``width``, so its 64-bit reversal is its ``width``-bit one shifted left
+    by ``64 - width``, which sorts alike.  No shift is made, so width 0 (all
+    masks empty) needs no special case.  An ``object`` array is written out
+    alike, in as many little-endian bytes as its widest mask takes, each
+    byte reversed through the table, and sorted by those bytes, first byte
+    first.
     """
+    if words.dtype == object:
+        masks = words.tolist()
+        width = max(1, (max(masks, default=0).bit_length() + 7) // 8)
+        data = b"".join(m.to_bytes(width, "little") for m in masks)
+        rev = _REV8[np.frombuffer(data, dtype=np.uint8)].reshape(len(masks), width)
+        return np.lexsort(rev.T[::-1])
     rev = _REV8[np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)]
     return np.argsort(rev.view(np.uint64).byteswap(), kind="stable")
 
@@ -90,12 +110,15 @@ _M1, _M2, _M4, _H01 = (
 
 
 def popcounts(words: np.ndarray) -> np.ndarray:
-    """Attribute count of each mask of a ``uint64`` array, as ``int64``.
+    """Attribute count of each mask of an array, as ``int64``.
 
-    The bits are summed in place by pairs, then nibbles, then bytes; the
-    product by a one in every byte adds all bytes into the top one (array
-    products wrap silently, as this needs).
+    An ``object`` array takes ``int.bit_count``.  A ``uint64`` array sums
+    its bits in place by pairs, then nibbles, then bytes; the product by a
+    one in every byte adds all bytes into the top one (array products wrap
+    silently, as this needs).
     """
+    if words.dtype == object:
+        return np.frompyfunc(int.bit_count, 1, 1)(words).astype(np.int64)
     x = words - ((words >> np.uint64(1)) & _M1)
     x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
     x = (x + (x >> np.uint64(4))) & _M4
@@ -105,8 +128,8 @@ def popcounts(words: np.ndarray) -> np.ndarray:
 
 
 class LecticWords(list):
-    """Distinct masks of up to 64 bits in lectic order, also held as one
-    ``uint64`` array, ``words``, in the same order.
+    """Distinct masks in lectic order, also held as one array, ``words``, in
+    the same order (of ``mask_dtype``: ``uint64`` up to 64 bits).
 
     ``enumerate_intents`` returns one, and ``build_lattice`` and
     ``ClassIndex.sizes`` read its array instead of converting the list

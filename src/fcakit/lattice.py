@@ -13,23 +13,26 @@ Both are normalized by the number of unordered pairs of distinct concepts so
 that they read as probabilities; the raw pair counts are exposed separately
 for anyone wanting a different normalization.
 
-Masks of up to 64 bits are counted on one ``uint64`` array ordered by
-attribute count, taken from the lectic word array the lattice was built
-with.  Both counts sum two terms over the intents C: f(C), the number of
-intents inside C, and g(C), the number of ordered pairs of intents whose
-union is exactly C.  The intents that ``enumerate_intents`` finds in the
-subset cube of a row of at most 14 attributes come with both terms,
-counted in that cube (``charsets._cube_intents``), and ``build_lattice``
-hands them on.  The lattice counts the others itself: the intents that lie
-only inside wider rows, and the top unless a full row of at most 14
-attributes covers it.  On a context whose rows all have at most 14
-attributes, that leaves the top alone, so neither count builds a cube or
-scans the pairs.  A lattice built from a plain list carries no terms and
-counts every intent itself.  One rule (`_cubes_pay`), read from the
-attribute counts alone, picks one of two exact paths.  Either path yields
-both counts in one pass, and the lattice keeps them (`pair_counts`): the
-first index asked for pays the whole pass, and the second reads what it
-kept.
+Both counts run on one array of the intents ordered by attribute count,
+taken from the lectic array the lattice was built with: ``uint64`` words
+for masks of up to 64 bits, an ``object`` array of Python ints above
+(``context.mask_dtype``).  The same code runs on both; only the member
+hash, which reads the low 64 bits of a mask (`_low_words`), looks at the
+dtype.  Both counts sum two terms over the
+intents C: f(C), the number of intents inside C, and g(C), the number of
+ordered pairs of intents whose union is exactly C.  The intents that
+``enumerate_intents`` finds in the subset cube of a row of at most 14
+attributes come with both terms, counted in that cube
+(``charsets._cube_intents``), and ``build_lattice`` hands them on.  The
+lattice counts the others itself: the intents that lie only inside wider
+rows, and the top unless a full row of at most 14 attributes covers it.
+On a context whose rows all have at most 14 attributes, that leaves the
+top alone, so neither count builds a cube or scans the pairs.  A lattice
+built from a plain list carries no terms and counts every intent itself.
+One rule (`_cubes_pay`), read from the attribute counts alone, picks one
+of two exact paths.  Either path yields both counts in one pass, and the
+lattice keeps them (`pair_counts`): the first index asked for pays the
+whole pass, and the second reads what it kept.
 
 * The cube pass (`_cube_pair_counts`) lists the 2^|C| subsets of each
   intent C other than the top that carries no terms, and marks the
@@ -54,8 +57,6 @@ member table (`_MemberTable`).  Every subset cube, here and in the intent
 cubes of ``charsets``, is one cell-major array, 2^k cells by rows, so each
 pass over it runs along whole rows, and one fold (`fold_cube`) runs the
 per-attribute passes over it.
-
-Wider masks take one pure-Python loop over the pairs for both counts.
 """
 
 from __future__ import annotations
@@ -66,24 +67,27 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .context import AttrSet, LecticWords, lectic_order, lectic_sorted, popcounts
+from .context import AttrSet, LecticWords, lectic_order, mask_dtype, popcounts
 
 # The numpy pair pass takes rows i0..i1-1 against columns i0+1..n-1 as one
 # 2-D block of about this many pairs: small enough to stay in cache, large
 # enough that the per-block numpy calls cost little next to the pair work.
 _BLOCK_PAIRS = 1 << 15
 
-# The member table hashes a mask by this Fibonacci multiplier.
+# The member table hashes a mask, or the low 64 bits of a wider one, by
+# this Fibonacci multiplier.
 _FIB_MULT = np.uint64(0x9E3779B97F4A7C15)
+_LOW_64 = (1 << 64) - 1
 
 # The cube counts build the 2^k subsets of each k-attribute intent other
 # than the top.  They run only when no such cube exceeds 2^_CUBE_MAX_BITS
 # cells (its int64 counts take 1 MB), and when its cells, each charged as
 # _CELL_COST pairs, still come to fewer than the pairs: on 403x40 contexts
 # of 5-7 k intents a cube cell cost about 8 pairs of the union pair pass
-# and 20 of the comparable one, when each index had a pass of its own.  Cubes are built and searched _BLOCK_PAIRS
-# cells at a time, several small cubes to a chunk or one chunk of a large
-# cube.  The member table has at most 2^_TABLE_BITS slots (512 KB).
+# and 20 of the comparable one, when each index had a pass of its own.
+# Cubes are built and searched _BLOCK_PAIRS cells at a time, several small
+# cubes to a chunk or one chunk of a large cube.  The member table has at
+# most 2^_TABLE_BITS slots (512 KB of words).
 _CUBE_MAX_BITS = 17
 _TABLE_BITS = 16
 _CHUNK_BITS = _BLOCK_PAIRS.bit_length() - 1
@@ -96,8 +100,8 @@ class ConceptLattice:
 
     The extent side of each concept is recoverable from the owning context
     via ``context.extent(ctx, intent_mask)``.  ``lectic_words``, when
-    given, holds the same intents as one ``uint64`` array in the same,
-    lectic, order, and the numpy counts start from it.  ``terms``, when
+    given, holds the same intents as one array of ``mask_dtype`` in the
+    same, lectic, order, and the counts start from it.  ``terms``, when
     given, is a ``(2, n)`` integer array in that order too: f(C) and g(C)
     of each intent C that carries them (`_cube_pair_counts`), 0 and 0 for
     the others.  Both raw pair counts come from one pass on first use
@@ -131,20 +135,17 @@ class ConceptLattice:
         return frozenset(self.intents)
 
     @cached_property
-    def _by_size(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
-        """``(words, sizes, terms)`` for the numpy counts, or None when the
-        pure-Python loops apply (masks wider than 64 bits).
+    def _by_size(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(words, sizes, terms)`` for the counts.
 
-        ``words`` holds the intents as a ``uint64`` array ordered by
+        ``words`` holds the intents as an array of ``mask_dtype`` ordered by
         attribute count, so a proper subset never comes after its
         supersets; the pair counts do not depend on order.  ``sizes`` holds
         those counts, and ``terms`` the columns of `terms` in the same order.
         """
         words = self.lectic_words
         if words is None:
-            if max((m.bit_length() for m in self.intents), default=0) > 64:
-                return None
-            words = np.array(self.intents, dtype=np.uint64)
+            words = _mask_array(self.intents)
         sizes = popcounts(words)
         # Sizes fit one byte, where the stable sort is a radix sort.
         order = np.argsort(sizes.astype(np.uint8), kind="stable")
@@ -152,10 +153,9 @@ class ConceptLattice:
         return words[order], sizes[order], terms
 
     @property
-    def _words(self) -> np.ndarray | None:
-        """The words of `_by_size`, or None where it is None."""
-        by_size = self._by_size
-        return None if by_size is None else by_size[0]
+    def _words(self) -> np.ndarray:
+        """The words of `_by_size`."""
+        return self._by_size[0]
 
     @property
     def _sizes(self) -> np.ndarray:
@@ -163,7 +163,7 @@ class ConceptLattice:
         return self._by_size[1]
 
     @cached_property
-    def _split(self) -> tuple[np.uint64, int, int]:
+    def _split(self) -> tuple[np.uint64 | AttrSet, int, int]:
         """`_top_split` of `_words`."""
         return _top_split(self._words, self._sizes)
 
@@ -212,18 +212,20 @@ def build_lattice(intents: Sequence[AttrSet]) -> ConceptLattice:
     raised by `ConceptLattice`).
 
     A ``LecticWords`` list, as ``enumerate_intents`` returns, is already in
-    order and hands its word array on as it is.  Other lists of masks of up
-    to 64 bits are sorted as one word array by ``lectic_order``, which the
-    lattice keeps; wider ones by ``lectic_sorted``.
+    order and hands its mask array on as it is.  Other lists are sorted as
+    one mask array by ``lectic_order``, which the lattice keeps.
     """
     if isinstance(intents, LecticWords):
         return ConceptLattice(tuple(intents), intents.words, intents.terms)
-    width = max((m.bit_length() for m in intents), default=0)
-    if width > 64:
-        return ConceptLattice(tuple(lectic_sorted(intents, width)))
-    words = np.array(intents, dtype=np.uint64)
+    words = _mask_array(intents)
     words = words[lectic_order(words)]
     return ConceptLattice(tuple(words.tolist()), words)
+
+
+def _mask_array(masks: Sequence[AttrSet]) -> np.ndarray:
+    """``masks`` as one array of the ``mask_dtype`` of the widest."""
+    width = max(masks, default=0).bit_length()
+    return np.array(masks, dtype=mask_dtype(width))
 
 
 def pair_total(lat: ConceptLattice) -> int:
@@ -250,30 +252,13 @@ def _row_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
 
 def pair_counts(lat: ConceptLattice) -> tuple[int, int]:
-    """``(comparable, union_closed)`` pairs of ``lat`` from one pass.
-
-    Masks of up to 64 bits take the cube pass when ``_cubes_pay`` says so,
-    else the blocked pair pass; wider ones one pure-Python loop over the
-    pairs.
-    """
-    masks = lat.intents
-    if len(masks) <= 1:
+    """``(comparable, union_closed)`` pairs of ``lat`` from one pass: the
+    cube pass when ``_cubes_pay`` says so, else the blocked pair pass."""
+    if len(lat) <= 1:
         return 0, 0
-    words = lat._words
-    if words is None:
-        member = set(masks)
-        comparable = union_closed = 0
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                inter = a & b
-                if inter == a or inter == b:
-                    comparable += 1
-                if a | b in member:
-                    union_closed += 1
-        return comparable, union_closed
     if _cubes_pay(lat):
         return _cube_pair_counts(lat)
-    return _pair_pass_counts(words)
+    return _pair_pass_counts(lat._words)
 
 
 def count_comparable_pairs(lat: ConceptLattice) -> int:
@@ -292,9 +277,12 @@ def _pair_pass_counts(words: np.ndarray) -> tuple[int, int]:
 
     Ordered by size, a row can only be a subset of a later column, and it
     is one exactly when their union is that column.  Every union is looked
-    up in the member table, whatever the attribute counts.
+    up in the member table, whatever the attribute counts.  The low words
+    of the unions, which the table hashes, are the unions of the low words:
+    on an ``object`` array that spares a Python int per pair.
     """
     members = _MemberTable(words)
+    low = _low_words(words)
     comparable = union_closed = 0
     for i0, i1, keep in _row_blocks(len(words)):
         cols = words[None, i0 + 1 :]
@@ -302,22 +290,34 @@ def _pair_pass_counts(words: np.ndarray) -> tuple[int, int]:
         hit = union == cols
         hit[:, : i1 - i0 - 1] &= keep
         comparable += int(np.count_nonzero(hit))
-        members.find(union, out=hit)
+        union_low = union if low is words else low[i0:i1, None] | low[None, i0 + 1 :]
+        members.find(union, out=hit, low=union_low)
         hit[:, : i1 - i0 - 1] &= keep
         union_closed += int(np.count_nonzero(hit))
     return comparable, union_closed
 
 
-def _slots(words: np.ndarray, bits: int) -> np.ndarray:
-    """Slot of each mask in a table of 2^bits, as indices (array-by-scalar
-    uint64 products wrap silently, as the hash needs; slots fit any index
-    type)."""
-    slot = words * _FIB_MULT
+def _low_words(words: np.ndarray) -> np.ndarray:
+    """The low 64 bits of each mask, as ``uint64``: a ``uint64`` array as it
+    is, the Python ints of an ``object`` array cut to them."""
+    if words.dtype == object:
+        return (words & _LOW_64).astype(np.uint64)
+    return words
+
+
+def _slots(low: np.ndarray, bits: int) -> np.ndarray:
+    """Slot of each mask in a table of 2^bits, from its `_low_words`, as
+    indices (array-by-scalar uint64 products wrap silently, as the hash
+    needs; slots fit any index type).  Masks that differ only above their
+    low 64 bits share a slot."""
+    slot = low * _FIB_MULT
     slot >>= np.uint64(64 - bits)
     return slot.view(np.int64)
 
 
-def _top_split(words: np.ndarray, sizes: np.ndarray) -> tuple[np.uint64, int, int]:
+def _top_split(
+    words: np.ndarray, sizes: np.ndarray
+) -> tuple[np.uint64 | AttrSet, int, int]:
     """``(top, b, h)`` for masks ordered by their attribute counts ``sizes``.
 
     ``top`` is the union of all masks.  When it is one of them it is the
@@ -362,10 +362,10 @@ def _subset_cubes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``(2^k, len(rows))``: cell ``s`` of row ``r`` holds those whose rank,
     from the lowest, is a set bit of ``s``.  ``rest`` holds the others.
     """
-    cube = np.zeros((1 << k, len(rows)), dtype=np.uint64)
+    cube = np.zeros((1 << k, len(rows)), dtype=rows.dtype)
     rest = rows.copy()
     for j in range(k):
-        low = rest & ~(rest - np.uint64(1))
+        low = rest & -rest
         rest ^= low
         np.bitwise_or(cube[: 1 << j], low, out=cube[1 << j : 2 << j])
     return cube, rest
@@ -385,18 +385,23 @@ class _MemberTable:
 
     def __init__(self, members: np.ndarray) -> None:
         self.bits = min(_TABLE_BITS, (8 * len(members)).bit_length())
-        slots = _slots(members, self.bits)
-        self.table = np.full(1 << self.bits, members[0])
+        slots = _slots(_low_words(members), self.bits)
+        self.table = np.full(1 << self.bits, members[0], dtype=members.dtype)
         self.table[slots] = members
         displaced = self.table[slots] != members
         self.lost = np.sort(members[displaced])
         self.crowded = np.zeros(1 << self.bits, dtype=bool)
         self.crowded[slots[displaced]] = True
 
-    def find(self, cells: np.ndarray, out: np.ndarray) -> None:
+    def find(
+        self, cells: np.ndarray, out: np.ndarray, low: np.ndarray | None = None
+    ) -> None:
         """Set ``out``, a bool array shaped as ``cells``, to whether each
-        cell is a member."""
-        cell_slots = _slots(cells, self.bits)
+        cell is a member.  ``low``, when given, is `_low_words` of the
+        cells."""
+        if low is None:
+            low = _low_words(cells)
+        cell_slots = _slots(low, self.bits)
         np.equal(self.table[cell_slots], cells, out=out)
         if self.lost.size:
             missed = self.crowded[cell_slots] & ~out
@@ -469,9 +474,9 @@ def _moebius_signs(k: int) -> np.ndarray:
 def _cube_pair_counts(lat: ConceptLattice) -> tuple[int, int]:
     """``(comparable, union_closed)`` from the subset cube of each member.
 
-    Exact for any family of distinct masks of up to 64 bits; a
-    k-attribute member other than the top costs 2^k cells, marked by
-    `_cube_members`, unless it carries its terms (`ConceptLattice.terms`).
+    Exact for any family of distinct masks; a k-attribute member other
+    than the top costs 2^k cells, marked by `_cube_members`, unless it
+    carries its terms (`ConceptLattice.terms`).
 
     Over the cube of a member C other than the top, f(T) is the number of
     members inside T: the marks, summed over subsets (`fold_cube`).  C

@@ -10,12 +10,19 @@ walk the whole power set, the twin of ``summarize_descriptions``.
 ``FormalContext.columns``, and ``intent_of`` tests one cross at a time, the
 twin of ``fcakit.context.intent_of``, which every ``closure`` the oracles
 take goes through.
+
+``scalar_keys`` and ``pair_loop`` are the Python twins of the library's
+array paths, at any width: the levelwise key search with the family's
+closures, passkeys, proper premises and quasi-closed keys, the twin of
+``enumerate_keys``; and one loop over the pairs of a family for both
+lattice counts, the twin of ``lattice.pair_counts``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from fcakit.charsets import CharFlags, ClassIndex, index_classes, min_key_sizes
 from fcakit.context import (
@@ -29,6 +36,7 @@ from fcakit.context import (
     iter_bits,
     lectic_sorted,
 )
+from fcakit.context import intent_of as context_intent_of
 from fcakit.descriptions import DescriptionRow, flags_pattern
 
 BRUTE_FORCE_CLASSES = (
@@ -229,3 +237,93 @@ def group_descriptions(
     rows = [DescriptionRow(flags, count) for flags, count in counts.items()]
     rows.sort(key=lambda r: flags_pattern(r.flags), reverse=True)
     return rows
+
+
+def scalar_keys(ctx: FormalContext) -> ScalarKeys:
+    """The levelwise key search on Python ints, any width.
+
+    Level ``k + 1`` extends each level-``k`` key by every attribute above
+    its top bit, and keeps the candidates whose extent differs from that of
+    each one-removed subset, all of which must be keys of level ``k``.
+    """
+    n = ctx.n_attrs
+    cols = ctx.columns
+    extents: dict[int, int] = {0: ctx.object_universe}
+    prev = extents.copy()
+    while prev:
+        cur: dict[int, int] = {}
+        for kmask, kext in prev.items():
+            for m in range(kmask.bit_length(), n):
+                cand = kmask | (1 << m)
+                cext = kext & cols[m]
+                if cext == kext:
+                    continue
+                good = True
+                for j in iter_bits(kmask):
+                    sub_ext = prev.get(cand ^ (1 << j))
+                    if sub_ext is None or sub_ext == cext:
+                        good = False
+                        break
+                if good:
+                    cur[cand] = cext
+        extents.update(cur)
+        prev = cur
+    return ScalarKeys(ctx, lectic_sorted(extents, n), extents)
+
+
+class ScalarKeys(list):
+    """The key family as Python ints in lectic order, each key's extent in a
+    dict, with the interface of ``fcakit.charsets._Keys``."""
+
+    def __init__(
+        self, ctx: FormalContext, keys: list[AttrSet], extents: dict[AttrSet, int]
+    ) -> None:
+        super().__init__(keys)
+        self._ctx = ctx
+        self._extents = extents
+
+    @cached_property
+    def closures(self) -> dict[AttrSet, AttrSet]:
+        return {k: context_intent_of(self._ctx, self._extents[k]) for k in self}
+
+    def passkeys(self) -> list[AttrSet]:
+        best: dict[AttrSet, int] = {}
+        for k, c in self.closures.items():
+            best[c] = min(best.get(c, k.bit_count()), k.bit_count())
+        return [k for k, c in self.closures.items() if k.bit_count() == best[c]]
+
+    @cached_property
+    def _unions(self) -> dict[AttrSet, AttrSet]:
+        """Each key with the closures of its one-removed subsets ORed in."""
+        key_closures = self.closures
+        out = {}
+        for k in key_closures:
+            u = k
+            for j in iter_bits(k):
+                u |= key_closures[k ^ (1 << j)]
+            out[k] = u
+        return out
+
+    def proper_premises(self) -> list[AttrSet]:
+        unions = self._unions
+        return [k for k, c in self.closures.items() if unions[k] != c]
+
+    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+        unions = self._unions
+        known = [k for k in self if unions[k] == k]
+        return known, [self.closures[k] for k in known]
+
+
+def pair_loop(masks: Sequence[AttrSet]) -> tuple[int, int]:
+    """``(comparable, union_closed)`` over the unordered pairs of distinct
+    masks, one pair at a time."""
+    member = set(masks)
+    comparable = union_closed = 0
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            inter = a & b
+            if inter == a or inter == b:
+                comparable += 1
+            if a | b in member:
+                union_closed += 1
+    return comparable, union_closed

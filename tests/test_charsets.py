@@ -34,7 +34,8 @@ from fcakit.charsets import (
     _WordRules,
     min_key_sizes,
 )
-from fcakit.context import LecticWords, bit_reverse, iter_bits, lectic_sorted
+from fcakit.context import LecticWords, bit_reverse, iter_bits, lectic_sorted, mask_dtype
+from fcakit.randomize import DEFAULT_METRICS, evaluate_metrics
 
 from conftest import (
     contexts,
@@ -45,7 +46,14 @@ from conftest import (
     realistic_context,
     staircase_context,
 )
-from oracles import brute_force_all, brute_force_class, classify, is_proper_premise
+from oracles import (
+    brute_force_all,
+    brute_force_class,
+    classify,
+    is_proper_premise,
+    pair_loop,
+    scalar_keys,
+)
 
 
 def all_masks(ctx: FormalContext) -> range:
@@ -784,14 +792,16 @@ class TestQuasiClosedKeys:
 
     @pytest.mark.parametrize("width", [64, 65, 70])
     def test_near_and_beyond_64_bits(self, width):
-        # Up to 64 attributes the word family and its scalar twin agree.
-        # At every width both parts hold to the definition, to the scan's
-        # pseudo-intents that are keys and to the intents that are keys.
+        # At every width the key family, on words up to 64 attributes and
+        # on an object array above, agrees with its scalar twin, and both
+        # parts hold to the definition, to the scan's pseudo-intents that
+        # are keys and to the intents that are keys.
         ctx = wide_context(width, 8, seed=width)
-        family = charsets._scalar_keys(ctx)
+        family = scalar_keys(ctx)
         known, closures = got = family.quasi_closed()
-        if width <= 64:
-            assert charsets._word_keys(ctx).quasi_closed() == got
+        keys = enumerate_keys(ctx)
+        assert (keys._masks.dtype == object) == (width > 64)
+        assert keys.quasi_closed() == got
         assert known == quasi_closed_keys(ctx)
         assert closures == [closure(ctx, k) for k in known]
         keys = set(family)
@@ -854,8 +864,9 @@ def acceptance_corpus() -> list[FormalContext]:
 
 
 class TestIntentKernels:
-    """The word-parallel intent enumeration (up to 64 attributes) and the set
-    loop for wider contexts, each against the reference loop, list for list."""
+    """The intent enumeration, on ``uint64`` words up to 64 attributes and
+    on an ``object`` array above, against the reference loop, list for
+    list."""
 
     def test_fuzz_corpus(self):
         for ctx in acceptance_corpus():
@@ -873,6 +884,8 @@ class TestIntentKernels:
     def test_set_path_beyond_64_bits(self, width):
         ctx = wide_context(width, 24, seed=width)
         intents = enumerate_intents(ctx)
+        assert intents.words.dtype == object
+        assert intents.words.tolist() == intents
         assert intents == set_intents(ctx)
         assert any(m >> 64 for m in intents if m != ctx.attribute_universe)
 
@@ -1033,9 +1046,41 @@ def intent_context(rows: tuple[int, ...], width: int) -> FormalContext:
     )
 
 
+def test_trial_metrics_at_70_attributes():
+    # Every default trial metric of a 70-attribute context, which runs the
+    # intents, the key family and the lattice counts on object arrays,
+    # against the Python twins: the set loop, the reference scan, the
+    # levelwise key search and the pair loop.
+    ctx = wide_context(70, 10, seed=70)
+    intents = set_intents(ctx)
+    keys = scalar_keys(ctx)
+    families = {
+        "intent-count": intents,
+        "pseudo-intent-count": [p for p, _ in scalar_basis_scan(ctx)],
+        "proper-premise-count": keys.proper_premises(),
+        "key-count": list(keys),
+        "passkey-count": keys.passkeys(),
+    }
+    want = {}
+    for metric, members in families.items():
+        want[(metric, None)] = float(len(members))
+        for size, count in sorted(Counter(m.bit_count() for m in members).items()):
+            want[(metric, size)] = float(count)
+    pairs = len(intents) * (len(intents) - 1) / 2
+    comparable, union_closed = pair_loop(intents)
+    want[("linearity", None)] = comparable / pairs
+    want[("distributivity", None)] = union_closed / pairs
+    assert min(len(members) for members in families.values()) > 100
+    assert 0 < comparable < union_closed < pairs
+    assert evaluate_metrics(ctx, DEFAULT_METRICS) == want
+    index = index_classes(ctx)
+    assert index.intents.words.dtype == index.keys._masks.dtype == object
+    assert index.lattice._words.dtype == object
+
+
 class TestSizes:
-    """``ClassIndex.sizes``: one ``bincount`` for the intents and the word
-    key family, a ``Counter`` otherwise; every path counts the same."""
+    """``ClassIndex.sizes``: one ``bincount`` for the intents and the key
+    family, a ``Counter`` otherwise; every path counts the same."""
 
     @pytest.mark.parametrize("width", [12, 70])
     def test_counts_match_bit_counts(self, width):
@@ -1044,7 +1089,8 @@ class TestSizes:
         for family in ("intents", "pseudo_intents", "keys", "passkeys", "proper_premises"):
             expected = Counter(m.bit_count() for m in getattr(index, family))
             assert index.sizes(family) == dict(expected), family
-        assert isinstance(index.intents, LecticWords) == (width <= 64)
+        assert isinstance(index.intents, LecticWords)
+        assert (index.intents.words.dtype == object) == (width > 64)
 
     def test_fuzz_corpus(self):
         for ctx in acceptance_corpus()[::5]:
@@ -1075,11 +1121,12 @@ def key_families(keys) -> dict[str, list]:
 
 
 def assert_word_keys_match(ctx: FormalContext, oracle: bool = True) -> dict[str, list]:
-    """The word key path against its scalar twin and, when ``oracle`` is set,
+    """The key family against its scalar twin and, when ``oracle`` is set,
     against the brute-force families and ``closure``, list for list."""
-    word = charsets._word_keys(ctx)
+    word = enumerate_keys(ctx)
+    assert word._masks.dtype == mask_dtype(ctx.n_attrs)
     got = key_families(word)
-    assert got == key_families(charsets._scalar_keys(ctx))
+    assert got == key_families(scalar_keys(ctx))
     if oracle:
         want = brute_force_all(ctx)
         for name in ("key", "passkey", "proper_premise"):
@@ -1105,12 +1152,13 @@ def pad_with_full_columns(ctx: FormalContext, pad: int) -> FormalContext:
 
 
 class TestKeyKernels:
-    """The word key family (up to 64 attributes) against its scalar twin,
-    the brute-force oracle and ``closure``, list for list."""
+    """The key family, on ``uint64`` words up to 64 attributes and on an
+    ``object`` array above, against its scalar twin, the brute-force oracle
+    and ``closure``, list for list."""
 
     def test_fuzz_corpus(self):
         for ctx in acceptance_corpus():
-            assert isinstance(enumerate_keys(ctx), charsets._WordKeys)
+            assert enumerate_keys(ctx)._masks.dtype == np.uint64
             assert_word_keys_match(ctx)
 
     def test_realistic_scale(self):
@@ -1160,9 +1208,10 @@ class TestKeyKernels:
         pad = width - 64
         ctx = pad_with_full_columns(narrow, pad)
         keys = enumerate_keys(ctx)
-        assert isinstance(keys, charsets._ScalarKeys)
+        assert keys._masks.dtype == object
         got = key_families(keys)
-        want = key_families(charsets._word_keys(narrow))
+        assert got == key_families(scalar_keys(ctx))
+        want = key_families(enumerate_keys(narrow))
         low = (1 << pad) - 1
         for name in ("key", "passkey", "proper_premise"):
             assert got[name] == [k << pad for k in want[name]], name

@@ -29,6 +29,8 @@ from fcakit.context import (
     iter_bits,
     lectic_order,
     lectic_sorted,
+    mask_dtype,
+    popcounts,
 )
 
 from conftest import (
@@ -475,3 +477,32 @@ class TestLecticOrder:
         words = np.array(masks, dtype=np.uint64)
         assert words[lectic_order(words)].tolist() == lectic_sorted(masks, width)
         assert lectic_order(words[:0]).tolist() == []
+
+    @pytest.mark.parametrize("width", [65, 70, 130])
+    def test_object_order_matches_lectic_sorted(self, width):
+        masks = sample_masks(width)
+        words = np.array(masks, dtype=mask_dtype(width))
+        assert words.dtype == object
+        assert words[lectic_order(words)].tolist() == lectic_sorted(masks, width)
+        assert lectic_order(words[:0]).tolist() == []
+        assert lectic_order(np.zeros(3, dtype=object)).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("width", [8, 64, 65, 130])
+    def test_order_is_stable(self, width):
+        # Equal masks keep their order, which the intent merge relies on.
+        masks = sample_masks(width)[:40] * 3
+        words = np.array(masks, dtype=mask_dtype(width))
+        order = lectic_order(words).tolist()
+        assert order == sorted(range(len(masks)), key=lambda i: bit_reverse(masks[i], width))
+
+
+class TestPopcounts:
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 70, 130])
+    def test_match_bit_count(self, width):
+        masks = sample_masks(width)
+        words = np.array(masks, dtype=mask_dtype(width))
+        assert (words.dtype == object) == (width > 64)
+        counts = popcounts(words)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [m.bit_count() for m in masks]
+        assert popcounts(words[:0]).tolist() == []

@@ -36,6 +36,8 @@ from fcakit.lattice import (
     pair_total,
 )
 
+from oracles import pair_loop
+
 from conftest import (
     contexts,
     contranominal_context,
@@ -198,30 +200,34 @@ class TestVectorizedPath:
         assert count_union_closed_pairs(lat) == brute_union_closed(masks)
 
     def test_wide_masks_fall_back_to_pure_python(self):
+        # Masks past bit 63 are counted on an object array of Python ints.
         masks = [0, 1 << 80, (1 << 80) | 1, 3]
         lat = ConceptLattice(tuple(masks))
+        assert lat._words.dtype == object
         assert count_comparable_pairs(lat) == brute_comparable(masks)
         assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+        assert lattice.pair_counts(lat) == pair_loop(masks)
 
     def test_wide_fuzz_corpus(self):
         # Shifting every intent keeps the subset and union relations, and
-        # pushes the universe past bit 63 onto the pure-Python loops.
+        # pushes the universe past bit 63 onto an object array.
         tested = 0
         for ctx in fuzz_contexts(200, max_objects=10, max_attrs=10, seed=0xB10C):
             if ctx.n_attrs < 5:
                 continue
             masks = [m << 60 for m in enumerate_intents(ctx)]
             lat = build_lattice(masks)
-            assert lat._words is None
+            assert lat._words.dtype == object
             assert count_comparable_pairs(lat) == brute_comparable(masks)
             assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+            assert lattice.pair_counts(lat) == pair_loop(lat.intents)
             tested += len(lat) > 1
         assert tested > 50
 
     @pytest.mark.parametrize("width", range(65, 71))
     def test_wide_families_one_loop(self, width):
-        # Small members over ten attributes spread up to bit width - 1: one
-        # pure-Python loop fills both counts.
+        # Small members over ten attributes spread up to bit width - 1,
+        # counted on an object array, against the pair loop.
         rnd = random.Random(width)
         attrs = rnd.sample(range(width - 1), 9) + [width - 1]
         masks = {1 << (width - 1)}
@@ -229,11 +235,12 @@ class TestVectorizedPath:
             masks.add(sum(1 << a for a in rnd.sample(attrs, rnd.randint(0, 5))))
         masks = sorted(masks)
         lat = ConceptLattice(tuple(masks))
-        assert lat._words is None
+        assert lat._words.dtype == object
         expected = (brute_comparable(masks), brute_union_closed(masks))
         assert min(expected) > 0
         assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
-        assert lattice.pair_counts(lat) == expected
+        assert lattice.pair_counts(lat) == pair_loop(masks) == expected
+        assert _cube_pair_counts(lat) == pair_pass(lat) == expected
 
     def test_corpus_agreement(self):
         for ctx in fuzz_contexts(20, max_objects=7, max_attrs=8, seed=5):
@@ -243,16 +250,41 @@ class TestVectorizedPath:
 
     @pytest.mark.parametrize("top_bit", [63, 70])
     def test_masks_using_top_bit(self, top_bit):
-        # bit 63 still fits a uint64 word; bit 70 takes the pure-Python loop
+        # bit 63 still fits a uint64 word; bit 70 takes an object array
         rnd = random.Random(top_bit)
         masks = list(
             {rnd.getrandbits(10) | (rnd.getrandbits(1) << top_bit) for _ in range(900)}
         )
         assert len(masks) >= 400 and max(masks).bit_length() == top_bit + 1
         lat = ConceptLattice(tuple(masks))
-        assert (lat._words is None) == (top_bit > 63)
+        assert (lat._words.dtype == object) == (top_bit > 63)
         assert count_comparable_pairs(lat) == brute_comparable(masks)
         assert count_union_closed_pairs(lat) == brute_union_closed(masks)
+        assert lattice.pair_counts(lat) == pair_loop(masks)
+
+    @pytest.mark.parametrize("width", [70, 130])
+    def test_object_cubes_with_terms(self, width):
+        # 400 rows of 3-8 attributes and one of 16 over width attributes,
+        # on object arrays: the intents inside the small rows carry their
+        # terms from the row cubes, the others take the lattice's cubes, the
+        # 16-attribute one searched in chunks, and the top the H pass.
+        rnd = random.Random(width)
+        rows = [sum(1 << a for a in rnd.sample(range(width), rnd.randint(3, 8))) for _ in range(400)]
+        rows.append(sum(1 << a for a in rnd.sample(range(width), 16)))
+        ctx = FormalContext(
+            tuple(f"g{k}" for k in range(len(rows))),
+            tuple(f"m{k}" for k in range(width)),
+            tuple(rows),
+        )
+        lat = build_lattice(enumerate_intents(ctx))
+        assert lat._words.dtype == object
+        rows_counted, sizes, (carried, _, _) = lat._cube_rows
+        assert carried and len(rows_counted) and sizes[-1] == 16
+        assert cubes_pay(lat)
+        expected = pair_loop(lat.intents)
+        assert min(expected) > 0
+        assert _cube_pair_counts(lat) == pair_pass(lat) == expected
+        assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
 
     def test_realistic_lattice_matches_pair_scan(self):
         lat = build_lattice(enumerate_intents(realistic_context()))
@@ -301,6 +333,27 @@ class TestVectorizedPath:
         assert not cubes_pay(lat)
         expected = (brute_comparable(masks), brute_union_closed(masks))
         assert (count_comparable_pairs(lat), count_union_closed_pairs(lat)) == expected
+
+    @pytest.mark.parametrize("width", [65, 70, 130])
+    def test_member_table_on_object_masks(self, width):
+        # Members m and m | 1 << 64 agree in their low 64 bits. With 8 slots
+        # per member some members lose their slot, so cells are looked for
+        # in the lost array too; the cells are one 2-D block, as the pair
+        # pass gives them, of members and of masks one bit away from one.
+        rnd = random.Random(width)
+        low = [rnd.getrandbits(width) & ~(1 << 64) for _ in range(1500)]
+        members = sorted(set(low) | {m | 1 << 64 for m in low})
+        words = np.array(members, dtype=object)
+        table = lattice._MemberTable(words)
+        assert table.table.dtype == table.lost.dtype == object
+        assert table.lost.size
+        others = [m ^ 1 << rnd.randrange(width) for m in members]
+        cells = np.array(members + others, dtype=object).reshape(2, -1)
+        found = np.empty(cells.shape, dtype=bool)
+        table.find(cells, out=found)
+        member = set(members)
+        assert found.tolist() == [[m in member for m in row] for row in cells.tolist()]
+        assert found[0].all() and not found[1].all()
 
     def test_no_union_a_member(self):
         masks = [(1 << a) | (1 << b) for a, b in combinations(range(30), 2)]
