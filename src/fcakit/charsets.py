@@ -20,7 +20,11 @@ The basis scan (``_canonical_basis_scan``) walks the intents and the
 pseudo-intents in lectic order.  It takes the intents and the key family:
 the keys that are intents or pseudo-intents, and their closures, come from
 the key family, so the scan steps to each of them without a preclosure
-and closes only the pseudo-intents that are not keys.
+and closes only the pseudo-intents that are not keys.  A candidate that is
+any other key comes with the union of the closures of its one-removed
+subsets, which lies inside the candidate's quasi-closure: the scan rejects
+the candidate outright when that union holds a forbidden attribute, and
+otherwise starts its preclosure from the union.
 
 The intent enumeration (subset cubes of the object rows, ``_cube_intents``)
 and the whole key family (``enumerate_keys``, ``_Keys``) run on numpy arrays
@@ -397,6 +401,32 @@ def _canonical_basis_scan(
     of them forbidden, so the test must use the current mask, not the one
     ``x_i`` failed on.
 
+    A candidate that is a key but not quasi-closed is decided from its
+    union ``u``, the key K with the closures of every K − {j} ORed in
+    (``_Keys._unions``), looked up by key.  Let q(x) be the quasi-closure
+    of ``x``, the smallest intent or pseudo-intent holding it.  The walk
+    rejects ``x`` at ``i`` exactly when q(x) meets ``forbidden``, and its
+    preclosure ``L(x)`` under the rules found so far lies inside q(x) and
+    gives the same decision, equalling q(x) when it accepts.
+
+    - For each j in K the closure of K − {j} is not that of K, as K is a
+      key.  q(K) is quasi-closed and holds K − {j}, so that closure lies
+      inside q(K); hence K ⊆ ``u`` ⊆ q(K).
+    - So when ``u`` meets ``forbidden``, q(x) does, and ``x`` is rejected
+      without a preclosure.  Otherwise its preclosure starts from ``u``:
+      that lies between ``L(x)`` and q(x), which is closed under the rules,
+      so it rejects exactly when q(x) meets ``forbidden``, and equals q(x)
+      when it accepts.
+    - ``(x, u)`` is kept as the record ``(x_i, y_i)`` of a rejection from
+      ``u``.  A later ``x′ ⊇ x`` has q(x′) ⊇ q(x) ⊇ ``u``, so the inherited
+      test stays sound.
+    - A quasi-closed key is a candidate only at the key step: as a
+      candidate it is its own quasi-closure, so it would be accepted as the
+      next quasi-closed set, which makes it the next quasi-closed key Z,
+      and the candidate at Z's step attribute steps to Z.  So the lookup
+      leaves those keys out, and a candidate that is not a key keeps the
+      plain path (its "union" is itself, which never meets ``forbidden``).
+
     The stores fire a premise contained in ``x`` even when it equals ``x``,
     which is safe here: every set they test agrees with ``a`` on the
     attributes before ``i`` and holds ``i``, which ``a`` lacks, so it is
@@ -409,6 +439,9 @@ def _canonical_basis_scan(
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
     known, known_closures = keys.quasi_closed()
+    # The union of every key that is not quasi-closed, by key.
+    open_keys = keys._unions != keys._masks
+    unions = dict(zip(keys._masks[open_keys].tolist(), keys._unions[open_keys].tolist()))
 
     # intents[at] and known[kat] are the first intent and the first
     # quasi-closed key the walk has not reached yet.
@@ -446,7 +479,11 @@ def _canonical_basis_scan(
             x_i, y_i = failed[i]
             if x_i & x == x_i and y_i & forbidden:
                 continue
-            y = rules.preclose(x, forbidden)
+            u = unions.get(x, x)
+            if u & forbidden:
+                failed[i] = (x, u)
+                continue
+            y = rules.preclose(u, forbidden)
             if not y & forbidden:
                 a = y
                 break
@@ -600,7 +637,8 @@ class _Keys(list):
     Every one-element-removed subset of a key is a key, so the union of a
     key K with the closures of every K − {j} (``_unions``, kept once
     computed) takes only closures of the family.  K is a proper premise
-    when that union is not the closure of K, and quasi-closed when it is K.
+    when that union is not the closure of K, and quasi-closed when it is K;
+    the basis scan reads the union of every other key.
     """
 
     def __init__(
@@ -646,10 +684,16 @@ class _Keys(list):
         return dict(zip(self, self._closure_words[self._order].tolist()))
 
     def passkeys(self) -> list[AttrSet]:
-        classes, which = np.unique(self._closure_words, return_inverse=True)
-        best = np.full(len(classes), self._sizes[-1])
-        np.minimum.at(best, which, self._sizes)
-        return self._masks[self._lectic(self._sizes == best[which])].tolist()
+        # The sort is stable and the keys go level by level, so the first
+        # key of each closure class has the class's smallest size.
+        order = lectic_order(self._closure_words)
+        closures, sizes = self._closure_words[order], self._sizes[order]
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(closures[1:], closures[:-1], out=first[1:])
+        class_start = np.maximum.accumulate(first * np.arange(len(order)))
+        passkey = np.empty(len(order), dtype=bool)
+        passkey[order] = sizes == sizes[class_start]
+        return self._masks[self._lectic(passkey)].tolist()
 
     @cached_property
     def _unions(self) -> np.ndarray:

@@ -655,32 +655,50 @@ def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]],
     return basis_scan(ctx), log
 
 
+def key_unions(ctx: FormalContext) -> dict[int, int]:
+    """Each key K with the closures of every K - {j} ORed in, by ``closure``,
+    in lectic order."""
+    unions = {}
+    for k in enumerate_keys(ctx):
+        u = k
+        for j in iter_bits(k):
+            u |= closure(ctx, k ^ (1 << j))
+        unions[k] = u
+    return unions
+
+
 def quasi_closed_keys(ctx: FormalContext) -> list[int]:
     """The keys K whose every K - {j} closes inside K, by ``closure``, in
     lectic order: the keys that are intents or pseudo-intents."""
-    return [
-        k
-        for k in enumerate_keys(ctx)
-        if all(closure(ctx, k ^ (1 << j)) & ~k == 0 for j in iter_bits(k))
-    ]
+    return [k for k, u in key_unions(ctx).items() if u == k]
 
 
-def skipped_candidates(ctx: FormalContext, log: list) -> tuple[list, list, list]:
+def skipped_candidates(ctx: FormalContext, log: list) -> tuple[list, list, list, list]:
     """Replay the scan's candidate walk against its store log.
 
     The candidate at the first attribute in which the next quasi-closed key
     Z differs from the current set steps to Z without a preclosure, unless
-    an earlier candidate was accepted.  Every other candidate the log does
-    not show being preclosed was rejected by an inherited test.  Returns
-    the rules the log added; for each inherited rejection ``(x, forbidden,
-    rules found before it)``; and for each key step ``(x, forbidden, Z,
-    rules found before it)``.
+    an earlier candidate was accepted.  Any other candidate is rejected
+    without a preclosure when it holds the last candidate ``x_i`` rejected
+    at its attribute and the current forbidden mask meets the set ``y_i``
+    that rejected ``x_i`` (an inherited rejection); else when it is a key
+    that is not quasi-closed and its union (``key_unions``) meets the
+    forbidden mask (a union rejection).  Every other candidate must be the
+    next preclosure of the log, started from the candidate's union when it
+    is such a key and from the candidate itself when not.  Returns the
+    rules the log added; for each inherited rejection ``(x, forbidden,
+    rules found before it)``; for each key step ``(x, forbidden, Z, rules
+    found before it)``; and for each union rejection ``(x, forbidden,
+    union, rules found before it)``.
     """
     n = ctx.n_attrs
-    known = quasi_closed_keys(ctx)
+    unions = key_unions(ctx)
+    known = [k for k, u in unions.items() if u == k]
+    failed = [(0, 0)] * n
     rules: list[tuple[int, int]] = []
     skipped = []
     stepped = []
+    by_union = []
     pos = kat = 0
     a = 0
     while True:
@@ -709,26 +727,35 @@ def skipped_candidates(ctx: FormalContext, log: list) -> tuple[list, list, list]
                 stepped.append((x, forbidden, known[kat], rules[:]))
                 nxt = known[kat]
                 break
-            if pos < len(log) and log[pos][:3] == ("preclose", x, forbidden):
-                y = log[pos][3]
-                pos += 1
-                if not y & forbidden:
-                    nxt = y
-                    break
-            else:
+            x_i, y_i = failed[i]
+            if x_i & x == x_i and y_i & forbidden:
                 skipped.append((x, forbidden, rules[:]))
+                continue
+            u = unions.get(x, x)
+            if u & forbidden:
+                by_union.append((x, forbidden, u, rules[:]))
+                failed[i] = (x, u)
+                continue
+            assert log[pos][:3] == ("preclose", u, forbidden)
+            y = log[pos][3]
+            pos += 1
+            if not y & forbidden:
+                nxt = y
+                break
+            failed[i] = (x, y)
         if nxt is None:
             break
         a = nxt
     assert pos == len(log) and kat == len(known)
-    return rules, skipped, stepped
+    return rules, skipped, stepped, by_union
 
 
 class TestInheritedRejection:
     """Candidates the scan rejects from an earlier failed test, without a
     preclosure: they must exist, and each must really be rejected.  So must
-    the candidates that step to a quasi-closed key without one, and each
-    must really reach that key."""
+    the keys it rejects from their union, and the candidates that step to a
+    quasi-closed key without one, each of which must really reach that
+    key."""
 
     def test_skips_preclose_calls_at_realistic_scale(self, monkeypatch):
         ctx = realistic_context()
@@ -739,9 +766,9 @@ class TestInheritedRejection:
         # One record per attribute skips about a third of the candidates
         # here; records shared by all attributes would skip under 2 %.
         assert len(calls) < 0.8 * len(tested)
-        _, skipped, stepped = skipped_candidates(ctx, log)
-        assert len(calls) + len(skipped) + len(stepped) == len(tested)
-        assert stepped and len(skipped) > 0.25 * len(tested)
+        _, skipped, stepped, by_union = skipped_candidates(ctx, log)
+        assert len(calls) + len(skipped) + len(stepped) + len(by_union) == len(tested)
+        assert stepped and by_union and len(skipped) > 0.25 * len(tested)
 
     @pytest.mark.parametrize(
         "corpus",
@@ -758,18 +785,24 @@ class TestInheritedRejection:
         ids=["403x16", "word-64", "scalar-70", "fuzz"],
     )
     def test_skipped_candidates_fixpoint_meets_forbidden(self, monkeypatch, corpus):
-        n_skipped = n_stepped = 0
+        n_skipped = n_stepped = n_by_union = 0
         for ctx in corpus():
             found, log = record_scan(monkeypatch, ctx)
-            rules, skipped, stepped = skipped_candidates(ctx, log)
+            rules, skipped, stepped, by_union = skipped_candidates(ctx, log)
             assert rules == found
             n_skipped += len(skipped)
             n_stepped += len(stepped)
+            n_by_union += len(by_union)
             for x, forbidden, current in skipped:
                 assert reference_preclose(current, x) & forbidden
             for x, forbidden, key, current in stepped:
                 assert reference_preclose(current, x) == key and not key & forbidden
-        assert n_skipped and n_stepped
+            # The union lies inside the quasi-closure of x, the fixpoint
+            # under the whole basis, which meets ``forbidden`` too.
+            for x, forbidden, union, current in by_union:
+                assert reference_preclose(current, x) & forbidden
+                assert union & ~reference_preclose(found, x) == 0
+        assert n_skipped and n_stepped and n_by_union
 
 
 class TestQuasiClosedKeys:
@@ -812,6 +845,31 @@ class TestQuasiClosedKeys:
         ]
         assert any(k >> 63 for k in known) and any(k != c for k, c in zip(*got))
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            lambda: acceptance_corpus(),
+            lambda: [realistic_context()],
+            lambda: [wide_context(width, 8, seed=width) for width in (64, 65, 70)],
+        ],
+        ids=["fuzz", "403x16", "wide"],
+    )
+    def test_unions_inside_quasi_closures(self, corpus):
+        # The scan rejects a key from its union, or precloses from there: the
+        # union of K with the closures of every K - {j} lies inside q(K), the
+        # fixpoint of K under the whole basis.
+        n_inside = 0
+        for ctx in corpus():
+            keys = enumerate_keys(ctx)
+            unions = dict(zip(keys._masks.tolist(), keys._unions.tolist()))
+            assert unions == key_unions(ctx)
+            basis = scalar_basis_scan(ctx)
+            for k, u in unions.items():
+                q = reference_preclose(basis, k)
+                assert u & ~q == 0
+                n_inside += u != k and u != q
+        assert n_inside
+
     def test_every_intent_free_needs_no_preclosure(self, monkeypatch):
         # Every subset of the 8x8 contranominal scale is a free intent, so
         # every candidate the scan accepts steps to a key.
@@ -819,8 +877,8 @@ class TestQuasiClosedKeys:
         closures = count_calls(monkeypatch, charsets, "closure")
         found, log = record_scan(monkeypatch, ctx)
         assert found == [] and log == [] and closures == []
-        _, skipped, stepped = skipped_candidates(ctx, log)
-        assert skipped == [] and len(stepped) == 255
+        _, skipped, stepped, by_union = skipped_candidates(ctx, log)
+        assert skipped == by_union == [] and len(stepped) == 255
 
     def test_toy_still_closes_its_unkeyed_pseudo_intent(self, monkeypatch, toy):
         closures = count_calls(monkeypatch, charsets, "closure")
@@ -1201,6 +1259,16 @@ class TestKeyKernels:
         top = 1 << (width - 1)
         assert any(k & top for k in got["proper_premise"])
         assert any(k & top for k in got["passkey"])
+
+    @pytest.mark.parametrize("width, n_objects", [(64, 8), (65, 8), (70, 8), (130, 5)])
+    def test_passkeys_at_every_width(self, width, n_objects):
+        # One stable lectic sort of the closures groups the closure classes,
+        # on words and on object arrays alike.
+        ctx = wide_context(width, n_objects, seed=width)
+        keys = enumerate_keys(ctx)
+        want = scalar_keys(ctx).passkeys()
+        assert keys.passkeys() == want
+        assert len(want) < len(keys) and any(k >> (width - 8) for k in want)
 
     @pytest.mark.parametrize("width", [65, 70])
     def test_scalar_path_beyond_64_bits(self, width):
