@@ -402,12 +402,13 @@ def _canonical_basis_scan(
     ``x_i`` failed on.
 
     A candidate that is a key but not quasi-closed is decided from its
-    union ``u``, the key K with the closures of every K − {j} ORed in
-    (``_Keys._unions``), looked up by key.  Let q(x) be the quasi-closure
-    of ``x``, the smallest intent or pseudo-intent holding it.  The walk
-    rejects ``x`` at ``i`` exactly when q(x) meets ``forbidden``, and its
-    preclosure ``L(x)`` under the rules found so far lies inside q(x) and
-    gives the same decision, equalling q(x) when it accepts.
+    union ``u``, the key K with the closures of every K − {j} ORed in,
+    looked up by key in ``keys.open_unions()``.  Let q(x) be the
+    quasi-closure of ``x``, the smallest intent or pseudo-intent holding
+    it.  The walk rejects ``x`` at ``i`` exactly when q(x) meets
+    ``forbidden``, and its preclosure ``L(x)`` under the rules found so far
+    lies inside q(x) and gives the same decision, equalling q(x) when it
+    accepts.
 
     - For each j in K the closure of K − {j} is not that of K, as K is a
       key.  q(K) is quasi-closed and holds K − {j}, so that closure lies
@@ -439,9 +440,7 @@ def _canonical_basis_scan(
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
     known, known_closures = keys.quasi_closed()
-    # The union of every key that is not quasi-closed, by key.
-    open_keys = keys._unions != keys._masks
-    unions = dict(zip(keys._masks[open_keys].tolist(), keys._unions[open_keys].tolist()))
+    unions = keys.open_unions()
 
     # intents[at] and known[kat] are the first intent and the first
     # quasi-closed key the walk has not reached yet.
@@ -638,7 +637,7 @@ class _Keys(list):
     key K with the closures of every K − {j} (``_unions``, kept once
     computed) takes only closures of the family.  K is a proper premise
     when that union is not the closure of K, and quasi-closed when it is K;
-    the basis scan reads the union of every other key.
+    the basis scan reads the union of every other key (``open_unions``).
     """
 
     def __init__(
@@ -684,16 +683,10 @@ class _Keys(list):
         return dict(zip(self, self._closure_words[self._order].tolist()))
 
     def passkeys(self) -> list[AttrSet]:
-        # The sort is stable and the keys go level by level, so the first
-        # key of each closure class has the class's smallest size.
-        order = lectic_order(self._closure_words)
-        closures, sizes = self._closure_words[order], self._sizes[order]
-        first = np.ones(len(order), dtype=bool)
-        np.not_equal(closures[1:], closures[:-1], out=first[1:])
-        class_start = np.maximum.accumulate(first * np.arange(len(order)))
-        passkey = np.empty(len(order), dtype=bool)
-        passkey[order] = sizes == sizes[class_start]
-        return self._masks[self._lectic(passkey)].tolist()
+        classes, which = np.unique(self._closure_words, return_inverse=True)
+        best = np.full(len(classes), self._sizes[-1])
+        np.minimum.at(best, which, self._sizes)
+        return self._masks[self._lectic(self._sizes == best[which])].tolist()
 
     @cached_property
     def _unions(self) -> np.ndarray:
@@ -711,11 +704,20 @@ class _Keys(list):
     def proper_premises(self) -> list[AttrSet]:
         return self._masks[self._lectic(self._unions != self._closure_words)].tolist()
 
+    @cached_property
+    def _is_quasi_closed(self) -> np.ndarray:
+        return self._unions == self._masks
+
     def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
         """The quasi-closed keys, which are the keys that are intents or
         pseudo-intents, and their closures, as two lists in lectic order."""
-        known = self._lectic(self._unions == self._masks)
+        known = self._lectic(self._is_quasi_closed)
         return self._masks[known].tolist(), self._closure_words[known].tolist()
+
+    def open_unions(self) -> dict[AttrSet, AttrSet]:
+        """The union of every key that is not quasi-closed, by key."""
+        rest = ~self._is_quasi_closed
+        return dict(zip(self._masks[rest].tolist(), self._unions[rest].tolist()))
 
 
 def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[AttrSet]:

@@ -79,31 +79,18 @@ def mask_dtype(width: int) -> np.dtype:
     return np.dtype(np.uint64 if width <= 64 else object)
 
 
-# Masks of every other bit, pair and nibble, and a one in every byte.
-_M1, _M2, _M4, _H01 = (
-    np.uint64(m)
-    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-
-
 def lectic_order(words: np.ndarray) -> np.ndarray:
-    """The permutation that sorts an array of masks lectically, keeping
-    equal masks in their order.
+    """The permutation that sorts an array of masks lectically.
 
     The array twin of ``lectic_sorted``.  A ``uint64`` array has each word
-    bit-reversed as a whole: adjacent bits, pairs and nibbles swapped, then
-    the byte order.  A mask of a ``width``-attribute context has no bit at
-    or above ``width``, so its 64-bit reversal is its ``width``-bit one
-    shifted left by ``64 - width``, which sorts alike.  No shift is made,
-    so width 0 (all masks empty) needs no special case.  When the low bits
-    that every reversed word leaves clear can number the words, each word
-    takes its position there, and one plain sort of the distinct results
-    gives the stable order.  Otherwise a plain argsort orders the words,
-    and when some are equal, a second sort orders each run of them by
-    position.  Plain sorts are several times faster than numpy's stable
-    one on ``uint64``.  An ``object`` array is written out in as many
-    little-endian bytes as its widest mask takes, each byte reversed
-    through a table, and sorted by those bytes, first byte first.
+    bit-reversed as a whole: every byte through a table, then the byte
+    order.  A mask of a ``width``-attribute context has no bit at or above
+    ``width``, so its 64-bit reversal is its ``width``-bit one shifted left
+    by ``64 - width``, which sorts alike.  No shift is made, so width 0 (all
+    masks empty) needs no special case.  An ``object`` array is written out
+    alike, in as many little-endian bytes as its widest mask takes, each
+    byte reversed through the table, and sorted by those bytes, first byte
+    first.
     """
     if words.dtype == object:
         masks = words.tolist()
@@ -111,31 +98,15 @@ def lectic_order(words: np.ndarray) -> np.ndarray:
         data = b"".join(m.to_bytes(width, "little") for m in masks)
         rev = _REV8[np.frombuffer(data, dtype=np.uint8)].reshape(len(masks), width)
         return np.lexsort(rev.T[::-1])
-    rev = np.array(words, dtype=np.uint64)
-    high = np.empty_like(rev)
-    for shift, swap in ((np.uint64(1), _M1), (np.uint64(2), _M2), (np.uint64(4), _M4)):
-        np.right_shift(rev, shift, out=high)
-        high &= swap
-        rev &= swap
-        rev <<= shift
-        rev |= high
-    rev.byteswap(inplace=True)
-    free = 64 - int(np.max(words, initial=0)).bit_length()
-    if len(rev) <= 1 << free:
-        rev |= np.arange(len(rev), dtype=np.uint64)
-        rev.sort()
-        rev &= np.uint64((1 << free) - 1)
-        return rev.view(np.intp)
-    order = np.argsort(rev)
-    run = np.ones(len(order), dtype=bool)
-    ordered = rev[order]
-    np.not_equal(ordered[1:], ordered[:-1], out=run[1:])
-    if run.all():
-        return order
-    # Number the runs of equal words, and sort each run by position.
-    key = np.cumsum(run) * len(order) + order
-    key.sort()
-    return key % len(order)
+    rev = _REV8[np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)]
+    return np.argsort(rev.view(np.uint64).byteswap(), kind="stable")
+
+
+# Masks of every other bit, pair and nibble, and a one in every byte.
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m)
+    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
 
 
 def popcounts(words: np.ndarray) -> np.ndarray:

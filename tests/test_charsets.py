@@ -863,6 +863,7 @@ class TestQuasiClosedKeys:
             keys = enumerate_keys(ctx)
             unions = dict(zip(keys._masks.tolist(), keys._unions.tolist()))
             assert unions == key_unions(ctx)
+            assert keys.open_unions() == {k: u for k, u in unions.items() if u != k}
             basis = scalar_basis_scan(ctx)
             for k, u in unions.items():
                 q = reference_preclose(basis, k)
@@ -1262,8 +1263,8 @@ class TestKeyKernels:
 
     @pytest.mark.parametrize("width, n_objects", [(64, 8), (65, 8), (70, 8), (130, 5)])
     def test_passkeys_at_every_width(self, width, n_objects):
-        # One stable lectic sort of the closures groups the closure classes,
-        # on words and on object arrays alike.
+        # Passkeys against the Python twin, on words and on object arrays
+        # up to three words wide.
         ctx = wide_context(width, n_objects, seed=width)
         keys = enumerate_keys(ctx)
         want = scalar_keys(ctx).passkeys()

@@ -495,16 +495,6 @@ class TestLecticOrder:
         order = lectic_order(words).tolist()
         assert order == sorted(range(len(masks)), key=lambda i: bit_reverse(masks[i], width))
 
-    @pytest.mark.parametrize("count", [1, 16, 17])
-    def test_positions_in_the_free_low_bits(self, count):
-        # Reversed 60-bit masks leave the low 4 bits clear: up to 16 words
-        # sort with their positions there, 17 take the stable argsort.
-        rnd = random.Random(count)
-        masks = ([rnd.getrandbits(60) | 1 << 59 for _ in range(5)] * 4)[:count]
-        order = lectic_order(np.array(masks, dtype=np.uint64))
-        assert order.dtype == np.intp
-        assert order.tolist() == sorted(range(count), key=lambda i: bit_reverse(masks[i], 60))
-
 
 class TestPopcounts:
     @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 70, 130])
