@@ -30,11 +30,10 @@ The intent enumeration (subset cubes of the object rows, ``_cube_intents``)
 and the whole key family (``enumerate_keys``, ``_Keys``) run on numpy arrays
 of attribute masks at every width: ``uint64`` words up to 64 attributes,
 ``object`` arrays of Python ints above (``context.mask_dtype``).  Object
-sets, such as the extents of the keys, are always ``uint64`` words.  Only
-the basis scan's preclosure has two stores: ``_WordRules`` on words up to
-64 attributes, ``_ScalarRules`` on Python ints above.  The brute-force
-oracles, the one-subset ``classify`` and the Python twins of the array
-paths live in the tests.
+sets, such as the extents of the keys, are always ``uint64`` words, and so
+are the basis scan's rules (``_WordRules``), one word per 64 attributes.
+The brute-force oracles, the one-subset ``classify`` and the Python twins
+of the array paths live in the tests.
 """
 
 from __future__ import annotations
@@ -264,56 +263,41 @@ def _intent_terms(cube: np.ndarray, closed: np.ndarray) -> np.ndarray:
     return terms
 
 
-class _ScalarRules:
-    """Found basis rules as ``(premise, closure)`` int pairs, any width.
-
-    ``preclose`` fires one rule at a time and stops at the first one that
-    adds a ``forbidden`` bit, returning the set as it stands then.
-    """
-
-    def __init__(self) -> None:
-        self._rules: list[tuple[int, int]] = []
-
-    def add(self, premise: int, premise_closure: int) -> None:
-        self._rules.append((premise, premise_closure))
-
-    def preclose(self, x: int, forbidden: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            for p, c in self._rules:
-                if p & x == p and c | x != x:
-                    x |= c
-                    if x & forbidden:
-                        return x
-                    changed = True
-        return x
+_WORD = (1 << 64) - 1  # the bits of one ``uint64`` word of a mask
 
 
 class _WordRules:
-    """Found basis rules as two growable ``uint64`` arrays, up to 64 attributes.
+    """Found basis rules as growable ``uint64`` arrays, one premise array
+    and one closure array per 64 attributes of an ``n``-attribute context.
 
-    One preclosure round tests every rule at once and ORs together the
-    closures of all that fire; ``preclose`` stops after the first round that
-    adds a ``forbidden`` bit, returning the set as it stands then.  ``add``
-    keeps ``_premises`` and ``_closures`` as views of the rules found so
-    far, and ``preclose`` compares Python ints, making one ``np.uint64``
-    per round.
+    A rule fires when its premise lies inside the set on every word.  A
+    preclosure round tests every rule at once and ORs together, word by
+    word, the closures of all that fire; ``preclose`` returns after the
+    first round that adds a ``forbidden`` bit.  ``_premises`` and
+    ``_closures`` view the lowest word of the rules found so far, ``_high``
+    the stores of each word above, with its shift.  Up to 64 attributes
+    ``_high`` is empty and a round makes one ``np.uint64`` and three numpy
+    calls: ``preclose`` tests the width once per call, not per round.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
         self._premise_store = np.empty(64, dtype=np.uint64)
         self._closure_store = np.empty(64, dtype=np.uint64)
-        self._premises = self._premise_store[:0]
-        self._closures = self._closure_store[:0]
+        self._premises = self._closures = self._premise_store[:0]
+        self._high = [(s, *np.empty((2, 64), np.uint64)) for s in range(64, n, 64)]
 
     def add(self, premise: int, premise_closure: int) -> None:
         count = len(self._premises)
         if count == len(self._premise_store):
-            self._premise_store = np.resize(self._premise_store, 2 * count)
-            self._closure_store = np.resize(self._closure_store, 2 * count)
-        self._premise_store[count] = premise
-        self._closure_store[count] = premise_closure
+            size = 2 * count
+            self._premise_store = np.resize(self._premise_store, size)
+            self._closure_store = np.resize(self._closure_store, size)
+            self._high = [(s, np.resize(p, size), np.resize(c, size)) for s, p, c in self._high]
+        self._premise_store[count] = premise & _WORD
+        self._closure_store[count] = premise_closure & _WORD
+        for shift, p, c in self._high:
+            p[count] = premise >> shift & _WORD
+            c[count] = premise_closure >> shift & _WORD
         self._premises = self._premise_store[: count + 1]
         self._closures = self._closure_store[: count + 1]
 
@@ -321,9 +305,27 @@ class _WordRules:
         p, c = self._premises, self._closures
         if not len(p):
             return x
+        if self._high:
+            return self._preclose_words(x, forbidden, p, c)
         while True:
             w = np.uint64(x)
             y = int(np.bitwise_or.reduce(c, where=(p | w) == w, initial=w))
+            if y == x or y & forbidden:
+                return y
+            x = y
+
+    def _preclose_words(self, x: int, forbidden: int, p: np.ndarray, c: np.ndarray) -> int:
+        high = [(shift, hp[: len(p)], hc[: len(p)]) for shift, hp, hc in self._high]
+        while True:
+            w = np.uint64(x & _WORD)
+            fire = (p | w) == w
+            for shift, hp, _ in high:
+                hw = np.uint64(x >> shift & _WORD)
+                fire &= (hp | hw) == hw
+            y = int(np.bitwise_or.reduce(c, where=fire, initial=w))
+            for shift, _, hc in high:
+                hw = np.uint64(x >> shift & _WORD)
+                y |= int(np.bitwise_or.reduce(hc, where=fire, initial=hw)) << shift
             if y == x or y & forbidden:
                 return y
             x = y
@@ -378,15 +380,13 @@ def _canonical_basis_scan(
     such that every found premise properly inside ``y`` has its closure in
     ``y``.  A premise that fires at ``x`` fires at every superset of ``x``,
     so that fixpoint does not depend on the order in which premises fire.
-    This lets contexts of up to 64 attributes fire all premises of a round
-    at once, on ``uint64`` words (``_WordRules``).  Wider contexts fire them
-    one at a time on Python ints (``_ScalarRules``); both give the same list.
+    This lets ``_WordRules`` fire all premises of a round at once.
 
     The candidate after ``a`` at attribute ``i`` is rejected when its
     preclosure gains an attribute before ``i`` that ``a`` lacks (the
-    ``forbidden`` mask).  Preclosure only adds attributes, so the stores
-    stop as soon as one of its steps gains such an attribute, without
-    running to the fixpoint, and return that partial preclosure.
+    ``forbidden`` mask).  Preclosure only adds attributes, so the store
+    stops as soon as one of its steps gains such an attribute, without
+    running to the fixpoint, and returns that partial preclosure.
 
     Failed tests are inherited, as in FCbO (Outrata & Vychodil, 2012) and
     LinCbO (Janoštík, Konečný & Krajča, 2021).  For each attribute ``i`` the
@@ -428,15 +428,15 @@ def _canonical_basis_scan(
       leaves those keys out, and a candidate that is not a key keeps the
       plain path (its "union" is itself, which never meets ``forbidden``).
 
-    The stores fire a premise contained in ``x`` even when it equals ``x``,
-    which is safe here: every set they test agrees with ``a`` on the
+    The store fires a premise contained in ``x`` even when it equals ``x``,
+    which is safe here: every set it tests agrees with ``a`` on the
     attributes before ``i`` and holds ``i``, which ``a`` lacks, so it is
     lectically greater than ``a`` and than every premise found so far.
     """
     n = ctx.n_attrs
     full = ctx.attribute_universe
     found: list[tuple[int, int]] = []
-    rules = _WordRules() if n <= 64 else _ScalarRules()
+    rules = _WordRules(n)
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
     known, known_closures = keys.quasi_closed()

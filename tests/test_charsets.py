@@ -30,7 +30,6 @@ from fcakit import (
 from fcakit import charsets, lattice
 from fcakit.charsets import (
     _canonical_basis_scan,
-    _ScalarRules,
     _WordRules,
     min_key_sizes,
 )
@@ -491,8 +490,8 @@ def basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
 
 
 class TestBasisScanKernels:
-    """The word-parallel scan (up to 64 attributes) and the scalar one for
-    wider contexts, each against the reference loop, list for list."""
+    """The scan on its one rule store, ``uint64`` words of 64 attributes
+    each at every width, against the reference loop, list for list."""
 
     def test_fuzz_corpus(self):
         # The acceptance suite's corpus: substantial shapes, then degenerate ones.
@@ -510,23 +509,30 @@ class TestBasisScanKernels:
         top = 1 << (width - 1)
         assert any(p & top for p, _ in found)
 
-    @pytest.mark.parametrize("width", [65, 70])
+    @pytest.mark.parametrize("width", [65, 70, 127, 128, 129])
     def test_scalar_path_beyond_64_bits(self, width):
+        # Two words, then three: at 127, 128 and 129 attributes the top
+        # attribute sits just below, on and just above a word edge.
         ctx = wide_context(width, 6, seed=width)
         found = basis_scan(ctx)
         assert found == scalar_basis_scan(ctx)
         assert any(p >> 64 for p, _ in found)
+        assert any(p >> (width - 1) for p, _ in found)
 
-    @pytest.mark.parametrize("store, width", [(_WordRules, 64), (_ScalarRules, 70)])
+    @pytest.mark.parametrize(
+        "store, width",
+        [(_WordRules, 64), (_WordRules, 70), (_WordRules, 128), (_WordRules, 130)],
+    )
     def test_preclose_rejects_exactly_when_fixpoint_meets_forbidden(
         self, store, width
     ):
+        # One to three words; up to 100 rules cross the store's growth at 64.
         rnd = random.Random(width)
         top = 1 << (width - 1)
         rejected = kept = gained_top = 0
         for _ in range(400):
             rules, x, forbidden = scan_step_case(rnd, width)
-            rs = store()
+            rs = store(width)
             for p, c in rules:
                 rs.add(p, c)
             want = reference_preclose(rules, x)
@@ -600,15 +606,15 @@ class TestPseudoIntentsFromIntents:
         # the oracle.
         self.assert_same_scan(monkeypatch, realistic_context())
 
-    @pytest.mark.parametrize("width", [64, 65, 70])
+    @pytest.mark.parametrize("width", [64, 65, 70, 130])
     def test_both_rule_stores(self, monkeypatch, width):
-        # Up to 64 attributes the scan keeps its rules in ``_WordRules``,
-        # above that in ``_ScalarRules``: one store for each of the six
-        # routes and the last scan.
+        # At every width the scan keeps its rules in one ``_WordRules`` of
+        # the context's width: one store for each of the six routes and the
+        # last scan.
         ctx = wide_context(width, 6, seed=width)
-        stores = count_calls(monkeypatch, charsets, "_WordRules" if width <= 64 else "_ScalarRules")
+        stores = count_calls(monkeypatch, charsets, "_WordRules")
         pseudo = self.assert_same_scan(monkeypatch, ctx)
-        assert len(stores) == 7 and pseudo
+        assert stores == [(width,)] * 7 and pseudo
         assert any(p >> 63 for p in pseudo)
 
     def test_class_index_closes_only_the_pseudo_intents(self, monkeypatch):
@@ -630,7 +636,7 @@ class TestPseudoIntentsFromIntents:
 
 
 def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]], list]:
-    """Run the scan with both stores logging every call made to them.
+    """Run the scan with its rule store logging every call made to it.
 
     Returns the scan's result and the log: ``("add", premise, closure)`` and
     ``("preclose", x, forbidden, result)`` tuples, in call order.
@@ -651,7 +657,6 @@ def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]],
         return Recording
 
     monkeypatch.setattr(charsets, "_WordRules", recording(_WordRules))
-    monkeypatch.setattr(charsets, "_ScalarRules", recording(_ScalarRules))
     return basis_scan(ctx), log
 
 
