@@ -26,6 +26,14 @@ subsets, which lies inside the candidate's quasi-closure: the scan rejects
 the candidate outright when that union holds a forbidden attribute, and
 otherwise starts its preclosure from the union.
 
+The walk numbers the attributes by ascending support (``_scan_order``), so
+the rarest attribute is the most significant.  The basis does not depend
+on how the attributes are numbered, and the walk is exact under any linear
+order of them; the scan maps the rules it found back and sorts them in the
+context's lectic order.  Rare-first pays because a candidate built at an
+attribute is rejected when its preclosure gains an attribute before that
+one, and the closures mostly add frequent attributes, which come last.
+
 The intent enumeration (subset cubes of the object rows, ``_cube_intents``)
 and the whole key family (``enumerate_keys``, ``_Keys``) run on numpy arrays
 of attribute masks at every width: ``uint64`` words up to 64 attributes,
@@ -301,6 +309,16 @@ class _WordRules:
         self._premises = self._premise_store[: count + 1]
         self._closures = self._closure_store[: count + 1]
 
+    def masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The premises and the closures added so far, in order, as arrays
+        of ``mask_dtype(n)``."""
+        if not self._high:
+            return self._premises, self._closures
+        count = len(self._premises)
+        words = [(self._premises, self._closures)]
+        words += [(p[:count], c[:count]) for _, p, c in self._high]
+        return tuple(_join_words(np.stack(part, axis=-1)) for part in zip(*words))
+
     def preclose(self, x: int, forbidden: int) -> int:
         p, c = self._premises, self._closures
         if not len(p):
@@ -331,8 +349,72 @@ class _WordRules:
             x = y
 
 
+def _scan_order(ctx: FormalContext) -> np.ndarray:
+    """The attributes by ascending support, ties by index: the basis scan's
+    attribute k is attribute ``order[k]`` of the context."""
+    return np.argsort([column.bit_count() for column in ctx.columns], kind="stable")
+
+
+class _Relabel:
+    """Renumbers attributes: bit j of each mask moves to bit ``perm[j]``.
+
+    Called on an array of masks, ``uint64`` or ``object``, it returns the
+    renumbered array of the same dtype; ``mask`` renumbers one Python int.
+    Both look up each byte of a mask in a table of its 256 values with
+    their bits moved and OR the lookups, one array gather per byte.  The
+    table cells are the new masks as ``uint64`` words, one per 64 bits of
+    the permutation.  An ``object`` array goes through bytes, as in
+    ``context.lectic_order``, so that it makes no Python ints but the
+    renumbered masks.
+    """
+
+    def __init__(self, perm: np.ndarray) -> None:
+        n = len(perm)
+        n_bytes, n_words = -(-n // 8), max(1, -(-n // 64))
+        # moved[b, t] is bit perm[8b + t] as words, zero past the n attributes.
+        moved = np.zeros((8 * n_bytes, n_words), dtype=np.uint64)
+        moved[np.arange(n), perm // 64] = np.uint64(1) << (perm % 64).astype(np.uint64)
+        moved = moved.reshape(n_bytes, 8, 1, n_words)
+        # The values with top bit t are those below 1 << t with bit t added.
+        self._tables = np.zeros((n_bytes, 256, n_words), dtype=np.uint64)
+        for t in range(8):
+            self._tables[:, 1 << t : 2 << t] = self._tables[:, : 1 << t] | moved[:, t]
+        # One word per cell is one Python int per cell already.
+        ints = self._tables[..., 0] if n_words == 1 else _join_words(self._tables)
+        self._ints = ints.tolist()
+
+    def __call__(self, words: np.ndarray) -> np.ndarray:
+        n_words = self._tables.shape[2]
+        if words.dtype == object:
+            size = 8 * n_words
+            data = b"".join(m.to_bytes(size, "little") for m in words.tolist())
+            data = np.frombuffer(data, dtype=np.uint8).reshape(len(words), size)
+        else:
+            data = np.ascontiguousarray(words[:, None], dtype="<u8").view(np.uint8)
+        out = np.zeros((len(words), n_words), dtype=np.uint64)
+        for b, table in enumerate(self._tables):
+            out |= table[data[:, b]]
+        return _join_words(out) if words.dtype == object else out[:, 0]
+
+    def mask(self, m: int) -> int:
+        out = 0
+        for table in self._ints:
+            out |= table[m & 255]
+            m >>= 8
+        return out
+
+
+def _join_words(words: np.ndarray) -> np.ndarray:
+    """The ``uint64`` words along the last axis as one Python int each,
+    lowest word first, in an ``object`` array."""
+    size = 8 * words.shape[-1]
+    data = np.ascontiguousarray(words, dtype="<u8").tobytes()
+    ints = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return np.array(ints, dtype=object).reshape(words.shape[:-1])
+
+
 def _canonical_basis_scan(
-    ctx: FormalContext, intents: list[AttrSet], keys: _Keys
+    ctx: FormalContext, intents: LecticWords, keys: _Keys
 ) -> list[tuple[AttrSet, AttrSet]]:
     """Lectic walk of the quasi-closed sets, collecting basis premises.
 
@@ -343,14 +425,34 @@ def _canonical_basis_scan(
     candidate is lectically smaller.  Returns ``(premise, premise_closure)``
     pairs in lectic order.
 
+    The walk numbers the attributes by ascending support, ties by index
+    (``_scan_order``), so its most significant attribute is the rarest.
+    The premises are the pseudo-intents, which are defined from the closure
+    alone, and every argument below holds for any linear order of the
+    attributes, so the walk finds the same basis in any numbering.  The
+    scan renumbers its inputs once (``_Relabel``): the intents, the
+    quasi-closed keys with their closures, and the open keys with their
+    unions.  It closes each pseudo-intent that is not a key through
+    ``closure`` in the context's numbering, and at the end maps the pairs
+    it found back and sorts them in the context's lectic order.  The order
+    decides how many candidates are rejected, and each rejection costs a
+    preclosure or a lookup.  A candidate built at attribute i is rejected
+    when its preclosure gains an attribute before i, and closures mostly
+    add frequent attributes; numbered last, those seldom lie before i.
+    On every context of the benchmark pools ascending support needs 3–35 %
+    fewer preclosures than the context's own numbering, and descending
+    support 1.3–1.9 times as many.  Below, every mask, "lectic" and "before"
+    refer to the walk's numbering.
+
     Every set the walk visits is an intent or a pseudo-intent, and it visits
-    them all, in lectic order.  ``intents`` must be the lectic list
-    ``enumerate_intents(ctx)`` returned and ``keys`` the key family
-    ``enumerate_keys(ctx)`` returned.  The walk knows in advance two kinds of
-    the sets it visits: the intents, which are their own closures, and the
-    quasi-closed keys (``keys.quasi_closed()``), which come with their
-    closures.  A visited set of neither kind is a pseudo-intent that is not
-    a key, and ``closure`` runs for those alone.
+    them all, in lectic order.  ``intents`` must be the ``LecticWords``
+    ``enumerate_intents(ctx)`` returned, whose array the scan renumbers,
+    and ``keys`` the key family ``enumerate_keys(ctx)`` returned.  The walk
+    knows in advance two kinds of the sets it visits: the intents, which
+    are their own closures, and the quasi-closed keys
+    (``keys.quasi_closed``), which come with their closures.  A visited set
+    of neither kind is a pseudo-intent that is not a key, and ``closure``
+    runs for those alone.
 
     The quasi-closed keys are the keys K such that the closure of K − {j}
     lies inside K for every j in K; they are exactly the keys that are
@@ -403,7 +505,7 @@ def _canonical_basis_scan(
 
     A candidate that is a key but not quasi-closed is decided from its
     union ``u``, the key K with the closures of every K − {j} ORed in,
-    looked up by key in ``keys.open_unions()``.  Let q(x) be the
+    looked up by key in ``keys.open_unions``.  Let q(x) be the
     quasi-closure of ``x``, the smallest intent or pseudo-intent holding
     it.  The walk rejects ``x`` at ``i`` exactly when q(x) meets
     ``forbidden``, and its preclosure ``L(x)`` under the rules found so far
@@ -432,15 +534,20 @@ def _canonical_basis_scan(
     which is safe here: every set it tests agrees with ``a`` on the
     attributes before ``i`` and holds ``i``, which ``a`` lacks, so it is
     lectically greater than ``a`` and than every premise found so far.
+    It holds the rules found, so the result is read back from it.
     """
     n = ctx.n_attrs
     full = ctx.attribute_universe
-    found: list[tuple[int, int]] = []
+    order = _scan_order(ctx)
+    to_walk, from_walk = _Relabel(np.argsort(order)), _Relabel(order)
     rules = _WordRules(n)
     # (x_i, y_i) per attribute; (0, 0) meets no mask, so it rejects nothing.
     failed = [(0, 0)] * n
-    known, known_closures = keys.quasi_closed()
-    unions = keys.open_unions()
+    # The largest input first, while nothing else of the scan is held.
+    unions = keys.open_unions(to_walk)
+    known, known_closures = keys.quasi_closed(to_walk)
+    words = to_walk(intents.words)
+    intents = words[lectic_order(words)].tolist()
 
     # intents[at] and known[kat] are the first intent and the first
     # quasi-closed key the walk has not reached yet.
@@ -453,11 +560,10 @@ def _canonical_basis_scan(
         elif at < len(intents) and intents[at] == a:
             ca = a
         else:
-            ca = closure(ctx, a)
+            ca = to_walk.mask(closure(ctx, from_walk.mask(a)))
         if ca == a:
             at += 1
         else:
-            found.append((a, ca))
             rules.add(a, ca)
         # The bit of the candidate that steps to the next quasi-closed key.
         step = 0
@@ -489,7 +595,11 @@ def _canonical_basis_scan(
             failed[i] = (x, y)
         else:
             break
-    return found
+    # Free the walk's inputs before making the result, which is about as large.
+    del unions, known, known_closures, intents
+    premises, closures = (from_walk(masks) for masks in rules.masks())
+    back = lectic_order(premises)
+    return list(zip(premises[back].tolist(), closures[back].tolist()))
 
 
 def enumerate_pseudo_intents(
@@ -708,16 +818,22 @@ class _Keys(list):
     def _is_quasi_closed(self) -> np.ndarray:
         return self._unions == self._masks
 
-    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+    def quasi_closed(self, relabel: _Relabel) -> tuple[list[AttrSet], list[AttrSet]]:
         """The quasi-closed keys, which are the keys that are intents or
-        pseudo-intents, and their closures, as two lists in lectic order."""
-        known = self._lectic(self._is_quasi_closed)
-        return self._masks[known].tolist(), self._closure_words[known].tolist()
+        pseudo-intents, and their closures, as two lists, both renumbered
+        by ``relabel`` and in the lectic order of the new numbering."""
+        known = np.flatnonzero(self._is_quasi_closed)
+        masks = relabel(self._masks[known])
+        sort = lectic_order(masks)
+        return masks[sort].tolist(), relabel(self._closure_words[known])[sort].tolist()
 
-    def open_unions(self) -> dict[AttrSet, AttrSet]:
-        """The union of every key that is not quasi-closed, by key."""
+    def open_unions(self, relabel: _Relabel) -> dict[AttrSet, AttrSet]:
+        """The union of every key that is not quasi-closed, by key, both
+        renumbered by ``relabel``."""
         rest = ~self._is_quasi_closed
-        return dict(zip(self._masks[rest].tolist(), self._unions[rest].tolist()))
+        # Each renumbered array lives only until its list is made.
+        masks = relabel(self._masks[rest]).tolist()
+        return dict(zip(masks, relabel(self._unions[rest]).tolist()))
 
 
 def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[AttrSet]:

@@ -308,10 +308,13 @@ class ScalarKeys(list):
         unions = self._unions
         return [k for k, c in self.closures.items() if unions[k] != c]
 
-    def quasi_closed(self) -> tuple[list[AttrSet], list[AttrSet]]:
+    def quasi_closed(self, relabel) -> tuple[list[AttrSet], list[AttrSet]]:
+        """The quasi-closed keys and their closures, each renumbered by
+        ``relabel.mask``, in the lectic order of the new numbering."""
         unions = self._unions
-        known = [k for k in self if unions[k] == k]
-        return known, [self.closures[k] for k in known]
+        known = [(relabel.mask(k), relabel.mask(self.closures[k])) for k in self if unions[k] == k]
+        known.sort(key=lambda kc: bit_reverse(kc[0], self._ctx.n_attrs))
+        return [k for k, _ in known], [c for _, c in known]
 
 
 def pair_loop(masks: Sequence[AttrSet]) -> tuple[int, int]:

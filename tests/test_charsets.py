@@ -489,6 +489,52 @@ def basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
     return _canonical_basis_scan(ctx, enumerate_intents(ctx), enumerate_keys(ctx))
 
 
+def move_bits(mask: int, perm) -> int:
+    """``mask`` with bit j moved to bit ``perm[j]``, one bit at a time."""
+    return sum(1 << int(perm[j]) for j in iter_bits(mask))
+
+
+def same_numbering(ctx: FormalContext) -> charsets._Relabel:
+    """The renumbering that keeps every attribute where it is."""
+    return charsets._Relabel(np.arange(ctx.n_attrs))
+
+
+def walk_order(ctx: FormalContext) -> list[int]:
+    """The attribute order of the basis scan, from its definition: ascending
+    support, ties by index.  The scan's attribute k is attribute
+    ``walk_order(ctx)[k]`` of the context."""
+    return sorted(range(ctx.n_attrs), key=lambda j: (ctx.columns[j].bit_count(), j))
+
+
+def walk_positions(ctx: FormalContext) -> list[int]:
+    """The scan's number of each attribute of the context."""
+    return [int(k) for k in np.argsort(walk_order(ctx))]
+
+
+def walk_context(ctx: FormalContext) -> FormalContext:
+    """``ctx`` with its attributes renumbered as the basis scan numbers them."""
+    order, pos = walk_order(ctx), walk_positions(ctx)
+    return FormalContext(
+        ctx.object_names,
+        tuple(ctx.attribute_names[j] for j in order),
+        tuple(move_bits(row, pos) for row in ctx.rows),
+    )
+
+
+def walk_sorted(ctx: FormalContext, masks: list[int]) -> list[int]:
+    """``masks`` of the context in the lectic order of the scan's numbering."""
+    pos = walk_positions(ctx)
+    return sorted(masks, key=lambda m: bit_reverse(move_bits(m, pos), ctx.n_attrs))
+
+
+def from_walk(ctx: FormalContext, rules: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Rules in the scan's numbering renumbered as in ``ctx``, in its lectic
+    order."""
+    order = walk_order(ctx)
+    back = [(move_bits(p, order), move_bits(c, order)) for p, c in rules]
+    return sorted(back, key=lambda rule: bit_reverse(rule[0], ctx.n_attrs))
+
+
 class TestBasisScanKernels:
     """The scan on its one rule store, ``uint64`` words of 64 attributes
     each at every width, against the reference loop, list for list."""
@@ -553,6 +599,73 @@ class TestBasisScanKernels:
         assert basis_scan(ctx) == scalar_basis_scan(ctx)
 
 
+# Attribute orders for the basis scan: its own, ascending support, and three
+# others it must be exact under as well.
+SCAN_ORDERS = {
+    "identity": lambda ctx: np.arange(ctx.n_attrs),
+    "ascending": lambda ctx: np.array(walk_order(ctx), dtype=np.intp),
+    "descending": lambda ctx: np.array(
+        sorted(range(ctx.n_attrs), key=lambda j: (-ctx.columns[j].bit_count(), j)), dtype=np.intp
+    ),
+    "random": lambda ctx: np.random.default_rng(ctx.n_attrs).permutation(ctx.n_attrs),
+}
+
+
+class TestScanOrder:
+    """The scan walks its lectic order with the attributes renumbered by
+    ascending support; the basis, mapped back and sorted in the context's
+    lectic order, does not depend on the numbering."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            lambda: acceptance_corpus(),
+            lambda: [realistic_context(), contranominal_context(8)],
+            lambda: [
+                wide_context(width, 6, seed=width)
+                for width in (62, 63, 64, 65, 70, 127, 128, 129)
+            ],
+        ],
+        ids=["fuzz", "403x16-contranominal", "wide"],
+    )
+    def test_any_order_gives_the_basis(self, monkeypatch, corpus):
+        for ctx in corpus():
+            want = scalar_basis_scan(ctx)
+            intents, keys = enumerate_intents(ctx), enumerate_keys(ctx)
+            for order in SCAN_ORDERS.values():
+                monkeypatch.setattr(charsets, "_scan_order", order)
+                assert _canonical_basis_scan(ctx, intents, keys) == want
+
+    def test_order_is_ascending_support(self):
+        # Ties are broken by index: the 8x8 contranominal scale has equal
+        # supports throughout, and the fuzz corpus has ties and empty and
+        # one-attribute contexts.
+        assert charsets._scan_order(contranominal_context(8)).tolist() == list(range(8))
+        for ctx in acceptance_corpus() + [realistic_context(), wide_context(70, 8, seed=70)]:
+            assert charsets._scan_order(ctx).tolist() == walk_order(ctx)
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 63, 64, 65, 128, 130])
+    def test_relabel_matches_bit_loop(self, width):
+        # On ``uint64`` arrays up to 64 bits and on ``object`` arrays at
+        # every width, against moving one bit at a time, and back.
+        rnd = random.Random(width)
+        perm = np.random.default_rng(width).permutation(width)
+        full = (1 << width) - 1
+        masks = [0, full] + [rnd.getrandbits(width) for _ in range(300)]
+        if width:
+            masks += [1, 1 << (width - 1), full ^ 1, full >> 1]
+        relabel, back = charsets._Relabel(perm), charsets._Relabel(np.argsort(perm))
+        want = [move_bits(m, perm) for m in masks]
+        assert [relabel.mask(m) for m in masks] == want
+        assert [back.mask(m) for m in want] == masks
+        for dtype in {mask_dtype(width), np.dtype(object)}:
+            words = np.array(masks, dtype=dtype)
+            moved = relabel(words)
+            assert moved.dtype == dtype and moved.tolist() == want
+            assert back(moved).dtype == dtype and back(moved).tolist() == masks
+            assert relabel(words[:0]).dtype == dtype and relabel(words[:0]).tolist() == []
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Replace ``module.name`` by a wrapper that logs each call's arguments."""
     calls: list = []
@@ -570,8 +683,8 @@ class TestPseudoIntentsFromIntents:
     """The scan takes the intents and the key family on every route:
     ``enumerate_pseudo_intents`` with and without each of them, and
     ``dg_basis`` with and without the keys, give the same premises, with
-    ``closure`` run for the pseudo-intents that are not keys alone, in
-    lectic order."""
+    ``closure`` run for the pseudo-intents that are not keys alone, in the
+    lectic order of the scan's numbering (``walk_sorted``)."""
 
     def assert_same_scan(self, monkeypatch, ctx: FormalContext) -> list[int]:
         closures = count_calls(monkeypatch, charsets, "closure")
@@ -588,6 +701,8 @@ class TestPseudoIntentsFromIntents:
             "dg_basis": lambda: [imp.premise for imp in dg_basis(ctx)],
             "dg_basis keys": lambda: [imp.premise for imp in dg_basis(ctx, keys)],
         }
+        # The scan walks in its own numbering and closes in the context's.
+        unkeyed = walk_sorted(ctx, unkeyed)
         for route, premises in routes.items():
             assert premises() == plain, route
             assert [attrs for _, attrs in closures] == unkeyed, route
@@ -630,7 +745,7 @@ class TestPseudoIntentsFromIntents:
         assert pseudo == want
         assert len(intent_calls) == len(key_calls) == 1
         key_set = set(index.keys)
-        unkeyed = [p for p in pseudo if p not in key_set]
+        unkeyed = walk_sorted(ctx, [p for p in pseudo if p not in key_set])
         assert [attrs for _, attrs in closures] == unkeyed
         assert unkeyed and len(unkeyed) < len(pseudo)
 
@@ -639,7 +754,8 @@ def record_scan(monkeypatch, ctx: FormalContext) -> tuple[list[tuple[int, int]],
     """Run the scan with its rule store logging every call made to it.
 
     Returns the scan's result and the log: ``("add", premise, closure)`` and
-    ``("preclose", x, forbidden, result)`` tuples, in call order.
+    ``("preclose", x, forbidden, result)`` tuples, in call order, with the
+    masks in the scan's numbering, that of ``walk_context(ctx)``.
     """
     log: list = []
 
@@ -680,6 +796,9 @@ def quasi_closed_keys(ctx: FormalContext) -> list[int]:
 
 def skipped_candidates(ctx: FormalContext, log: list) -> tuple[list, list, list, list]:
     """Replay the scan's candidate walk against its store log.
+
+    ``ctx`` is the context as the scan numbers it (``walk_context``), so the
+    replay walks the lectic order the scan walks.
 
     The candidate at the first attribute in which the next quasi-closed key
     Z differs from the current set steps to Z without a preclosure, unless
@@ -764,16 +883,36 @@ class TestInheritedRejection:
 
     def test_skips_preclose_calls_at_realistic_scale(self, monkeypatch):
         ctx = realistic_context()
+
+        def account(walk: FormalContext, log: list, tested: list[int]) -> tuple[int, int]:
+            # Every candidate the reference loop tests in the numbering of
+            # ``walk`` is preclosed, inherits a rejection, steps to a key or
+            # is rejected from its union; returns the first two counts.
+            calls = [e[1] for e in log if e[0] == "preclose"]
+            assert len(calls) < 0.8 * len(tested)
+            _, skipped, stepped, by_union = skipped_candidates(walk, log)
+            assert len(calls) + len(skipped) + len(stepped) + len(by_union) == len(tested)
+            assert skipped and stepped and by_union
+            return len(calls), len(skipped)
+
+        # The scan's numbering, rarest attribute first.
+        walk = walk_context(ctx)
         found, log = record_scan(monkeypatch, ctx)
         tested: list[int] = []
-        assert found == scalar_basis_scan(ctx, tested)
-        calls = [e[1] for e in log if e[0] == "preclose"]
-        # One record per attribute skips about a third of the candidates
-        # here; records shared by all attributes would skip under 2 %.
-        assert len(calls) < 0.8 * len(tested)
-        _, skipped, stepped, by_union = skipped_candidates(ctx, log)
-        assert len(calls) + len(skipped) + len(stepped) + len(by_union) == len(tested)
-        assert stepped and by_union and len(skipped) > 0.25 * len(tested)
+        assert from_walk(ctx, scalar_basis_scan(walk, tested)) == found
+        calls, _ = account(walk, log, tested)
+        # The context's own numbering, which the scan walks when its order
+        # is the identity.  One record per attribute skips about a third of
+        # the candidates there; records shared by all attributes would skip
+        # under 2 %.  The scan's order leaves fewer candidates to reject, so
+        # it tests and precloses fewer.
+        monkeypatch.setattr(charsets, "_scan_order", lambda c: np.arange(c.n_attrs))
+        found, log = record_scan(monkeypatch, ctx)
+        tested_ctx: list[int] = []
+        assert found == scalar_basis_scan(ctx, tested_ctx)
+        calls_ctx, skipped_ctx = account(ctx, log, tested_ctx)
+        assert skipped_ctx > 0.25 * len(tested_ctx)
+        assert len(tested) < len(tested_ctx) and calls < calls_ctx
 
     @pytest.mark.parametrize(
         "corpus",
@@ -793,8 +932,8 @@ class TestInheritedRejection:
         n_skipped = n_stepped = n_by_union = 0
         for ctx in corpus():
             found, log = record_scan(monkeypatch, ctx)
-            rules, skipped, stepped, by_union = skipped_candidates(ctx, log)
-            assert rules == found
+            rules, skipped, stepped, by_union = skipped_candidates(walk_context(ctx), log)
+            assert from_walk(ctx, rules) == found
             n_skipped += len(skipped)
             n_stepped += len(stepped)
             n_by_union += len(by_union)
@@ -806,12 +945,12 @@ class TestInheritedRejection:
             # under the whole basis, which meets ``forbidden`` too.
             for x, forbidden, union, current in by_union:
                 assert reference_preclose(current, x) & forbidden
-                assert union & ~reference_preclose(found, x) == 0
+                assert union & ~reference_preclose(rules, x) == 0
         assert n_skipped and n_stepped and n_by_union
 
 
 class TestQuasiClosedKeys:
-    """The keys the scan steps to, ``keys.quasi_closed()``: the keys that
+    """The keys the scan steps to, ``keys.quasi_closed``: the keys that
     are intents or pseudo-intents, with their closures, in lectic order."""
 
     @staticmethod
@@ -819,7 +958,8 @@ class TestQuasiClosedKeys:
         oracle = brute_force_all(ctx)
         visited = set(oracle["intent"]) | set(oracle["pseudo_intent"])
         want = [k for k in oracle["key"] if k in visited]
-        assert enumerate_keys(ctx).quasi_closed() == (want, [closure(ctx, k) for k in want])
+        got = enumerate_keys(ctx).quasi_closed(same_numbering(ctx))
+        assert got == (want, [closure(ctx, k) for k in want])
 
     def test_fuzz_corpus_against_oracle(self):
         for ctx in acceptance_corpus():
@@ -836,10 +976,10 @@ class TestQuasiClosedKeys:
         # are keys and to the intents that are keys.
         ctx = wide_context(width, 8, seed=width)
         family = scalar_keys(ctx)
-        known, closures = got = family.quasi_closed()
+        known, closures = got = family.quasi_closed(same_numbering(ctx))
         keys = enumerate_keys(ctx)
         assert (keys._masks.dtype == object) == (width > 64)
-        assert keys.quasi_closed() == got
+        assert keys.quasi_closed(same_numbering(ctx)) == got
         assert known == quasi_closed_keys(ctx)
         assert closures == [closure(ctx, k) for k in known]
         keys = set(family)
@@ -868,13 +1008,35 @@ class TestQuasiClosedKeys:
             keys = enumerate_keys(ctx)
             unions = dict(zip(keys._masks.tolist(), keys._unions.tolist()))
             assert unions == key_unions(ctx)
-            assert keys.open_unions() == {k: u for k, u in unions.items() if u != k}
+            open_unions = keys.open_unions(same_numbering(ctx))
+            assert open_unions == {k: u for k, u in unions.items() if u != k}
             basis = scalar_basis_scan(ctx)
             for k, u in unions.items():
                 q = reference_preclose(basis, k)
                 assert u & ~q == 0
                 n_inside += u != k and u != q
         assert n_inside
+
+    @pytest.mark.parametrize("width", [16, 64, 65, 70])
+    def test_renumbered_for_the_scan(self, width):
+        # The scan reads both parts in its numbering, the quasi-closed keys
+        # in its lectic order.
+        ctx = realistic_context() if width == 16 else wide_context(width, 8, seed=width)
+        keys = enumerate_keys(ctx)
+        pos = walk_positions(ctx)
+        relabel, same = charsets._Relabel(np.array(pos)), same_numbering(ctx)
+        moved = sorted(
+            ((move_bits(k, pos), move_bits(c, pos)) for k, c in zip(*keys.quasi_closed(same))),
+            key=lambda kc: bit_reverse(kc[0], width),
+        )
+        got = keys.quasi_closed(relabel)
+        assert got == ([k for k, _ in moved], [c for _, c in moved])
+        assert scalar_keys(ctx).quasi_closed(relabel) == got
+        unions = keys.open_unions(same)
+        assert keys.open_unions(relabel) == {
+            move_bits(k, pos): move_bits(u, pos) for k, u in unions.items()
+        }
+        assert pos != sorted(pos) and len(moved) > 1 and unions
 
     def test_every_intent_free_needs_no_preclosure(self, monkeypatch):
         # Every subset of the 8x8 contranominal scale is a free intent, so
@@ -883,7 +1045,7 @@ class TestQuasiClosedKeys:
         closures = count_calls(monkeypatch, charsets, "closure")
         found, log = record_scan(monkeypatch, ctx)
         assert found == [] and log == [] and closures == []
-        _, skipped, stepped, by_union = skipped_candidates(ctx, log)
+        _, skipped, stepped, by_union = skipped_candidates(walk_context(ctx), log)
         assert skipped == by_union == [] and len(stepped) == 255
 
     def test_toy_still_closes_its_unkeyed_pseudo_intent(self, monkeypatch, toy):
@@ -1173,14 +1335,15 @@ class TestKeyClosures:
             assert list(keys.closures.items()) == [(k, closure(ctx, k)) for k in keys]
 
 
-def key_families(keys) -> dict[str, list]:
-    """Keys, their closures, passkeys and proper premises, as plain lists."""
+def key_families(ctx: FormalContext, keys) -> dict[str, list]:
+    """Keys, their closures, passkeys, proper premises and quasi-closed keys
+    of ``ctx``, as plain lists."""
     return {
         "key": list(keys),
         "closures": list(keys.closures.items()),
         "passkey": keys.passkeys(),
         "proper_premise": keys.proper_premises(),
-        "quasi_closed": keys.quasi_closed(),
+        "quasi_closed": keys.quasi_closed(same_numbering(ctx)),
     }
 
 
@@ -1189,8 +1352,8 @@ def assert_word_keys_match(ctx: FormalContext, oracle: bool = True) -> dict[str,
     against the brute-force families and ``closure``, list for list."""
     word = enumerate_keys(ctx)
     assert word._masks.dtype == mask_dtype(ctx.n_attrs)
-    got = key_families(word)
-    assert got == key_families(scalar_keys(ctx))
+    got = key_families(ctx, word)
+    assert got == key_families(ctx, scalar_keys(ctx))
     if oracle:
         want = brute_force_all(ctx)
         for name in ("key", "passkey", "proper_premise"):
@@ -1283,9 +1446,9 @@ class TestKeyKernels:
         ctx = pad_with_full_columns(narrow, pad)
         keys = enumerate_keys(ctx)
         assert keys._masks.dtype == object
-        got = key_families(keys)
-        assert got == key_families(scalar_keys(ctx))
-        want = key_families(enumerate_keys(narrow))
+        got = key_families(ctx, keys)
+        assert got == key_families(ctx, scalar_keys(ctx))
+        want = key_families(narrow, enumerate_keys(narrow))
         low = (1 << pad) - 1
         for name in ("key", "passkey", "proper_premise"):
             assert got[name] == [k << pad for k in want[name]], name
