@@ -15,12 +15,11 @@ bit streams are those of the installed numpy, which reports its version in
 CLI metadata.
 
 ``run_trials`` shuffles every trial in the calling process, then spreads the
-evaluations over the CPUs of the process's affinity set: one forked child per
-extra CPU, each process pinned to a CPU of its own, each child sending its
-results back through a pipe.  Results are gathered by trial index, so they do
-not depend on how many processes ran.  Where ``os.fork`` is missing, or the
-real context evaluates in less than ``FORK_MIN_EVALUATE_S`` (about two fork
-round trips), every trial runs in the caller.
+evaluations over k = min(CPUs of the process's affinity set, trials)
+processes, whatever the context: k - 1 forked children and the caller, each
+pinned to a CPU of its own, each child sending its results back through a
+pipe.  Results are gathered by trial index, so they do not depend on how many
+processes ran.  Where ``os.fork`` is missing, every trial runs in the caller.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import enum
 import os
 import pickle
-import time
 from dataclasses import dataclass
 from typing import Iterable, NoReturn, Sequence
 
@@ -167,15 +165,6 @@ def evaluate_metrics(
     return out
 
 
-# About two fork round trips.  On a 2-core host, 4 trials of the 4x5 toy
-# context took 6.3-7.7 ms in one process and 11.1-13.8 ms with half of them
-# in a forked child (best of 20, three runs), so a child costs 5-7 ms.  Two
-# trials split over two processes save the time of one, so a real context
-# that evaluates faster than this keeps every trial in the calling process:
-# a child would buy little or no time for its extra CPU time.
-FORK_MIN_EVALUATE_S = 0.013
-
-
 def _cpu_count() -> int:
     """The CPUs this process may run on: its affinity set, where it has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -188,6 +177,7 @@ def _evaluate_trials(
 ) -> list[dict[MetricKey, float]]:
     """``evaluate_metrics`` of every trial, in trial order.
 
+    ``run_trials`` passes k = min(CPUs, trials), or 1 without ``os.fork``.
     Stride w of k (trials w, w + k, ...) runs in forked child w, the last
     stride here.  A stride whose child cannot be forked also runs here.
     Every child is reaped before this returns or raises, and killed first
@@ -312,10 +302,11 @@ def run_trials(
     The real context is evaluated first, and every trial is seeded and
     shuffled here, in trial order.  With k = min(CPUs in the affinity set,
     ``n_trials``) > 1, forked child w evaluates trials w, w + k, ... and this
-    process the last stride; k is 1 where ``os.fork`` is missing or the real
-    evaluation took less than ``FORK_MIN_EVALUATE_S``.  An exception raised
-    in a child is raised here unchanged, after every child has been reaped;
-    a child that leaves no result raises ``RuntimeError``.
+    process the last stride; k is 1 where ``os.fork`` is missing.  So the
+    process layout depends only on the trial count and the CPUs, never on
+    the context or the host's speed.  An exception raised in a child is
+    raised here unchanged, after every child has been reaped; a child that
+    leaves no result raises ``RuntimeError``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -323,13 +314,9 @@ def run_trials(
     names = tuple(dict.fromkeys(metrics)) if metrics is not None else DEFAULT_METRICS
     if not names:
         raise ValueError("metrics must name at least one metric")
-    start = time.perf_counter()
     real = evaluate_metrics(ctx, names)
-    real_s = time.perf_counter() - start
     trials = [shuffle(ctx, strategy, derive_trial_seed(seed, i)) for i in range(n_trials)]
-    k = 1
-    if hasattr(os, "fork") and real_s >= FORK_MIN_EVALUATE_S:
-        k = min(_cpu_count(), n_trials)
+    k = min(_cpu_count(), n_trials) if hasattr(os, "fork") else 1
     trial_results = _evaluate_trials(trials, names, k)
 
     all_keys = set(real)

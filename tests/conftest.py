@@ -176,8 +176,8 @@ class ForcedFork:
 
 @pytest.fixture(params=[2, 3], ids=["k2", "k3"])
 def forced_fork(request, monkeypatch) -> ForcedFork:
-    """``run_trials`` forks k - 1 children (k = 2, 3) on any context and any
-    host, as if its affinity set held k CPUs and every context were slow."""
+    """``run_trials`` runs over k processes (k = 2, 3), as if its affinity
+    set held k CPUs."""
     forced = ForcedFork(request.param)
     fork = os.fork
 
@@ -188,7 +188,6 @@ def forced_fork(request, monkeypatch) -> ForcedFork:
         return pid
 
     monkeypatch.setattr(randomize, "_cpu_count", lambda: forced.k)
-    monkeypatch.setattr(randomize, "FORK_MIN_EVALUATE_S", 0.0)
     monkeypatch.setattr(os, "fork", counting_fork)
     return forced
 

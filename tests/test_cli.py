@@ -278,6 +278,8 @@ class TestRandomize:
             return real(ctx, *args)
 
         monkeypatch.setattr(charsets, "enumerate_pseudo_intents", counting)
+        # The calls are counted in this process, so every trial runs here.
+        monkeypatch.setattr(randomize, "_cpu_count", lambda: 1)
         argv = ("randomize", str(TOY_CXT), "--strategy", "column", "--trials", "2")
         _, once = run_cli(capsys, *argv, "--metrics", "pseudo-intent-count,linearity")
         assert len(calls) == 3

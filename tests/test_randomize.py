@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import os
+import time
 
 import pytest
 
@@ -203,15 +204,19 @@ class TestRunTrials:
             return real(lat)
 
         monkeypatch.setattr(lattice, "linearity", counting)
+        # The calls are counted in this process, so every trial runs here.
         toy = toy_context()
-        once = run_trials(toy, "column", 2, 0, metrics=("linearity",))
+        once = run_sequentially(run_trials, toy, "column", 2, 0, metrics=("linearity",))
         assert len(calls) == 3
-        twice = run_trials(toy, "column", 2, 0, metrics=("linearity", "linearity"))
+        twice = run_sequentially(
+            run_trials, toy, "column", 2, 0, metrics=("linearity", "linearity")
+        )
         assert twice == once
         assert len(calls) == 6
         mixed = ("intent-count", "linearity", "intent-count", "linearity")
-        assert run_trials(toy, "column", 2, 0, metrics=mixed) == run_trials(
-            toy, "column", 2, 0, metrics=("intent-count", "linearity")
+        pair = ("intent-count", "linearity")
+        assert run_sequentially(run_trials, toy, "column", 2, 0, metrics=mixed) == (
+            run_sequentially(run_trials, toy, "column", 2, 0, metrics=pair)
         )
 
 
@@ -249,16 +254,23 @@ class TestForkedTrials:
         assert run_trials(demo, "column", 5, seed=2) == want
         assert open_fd_count() == fds
 
-    def test_toy_contexts_never_fork(self, monkeypatch):
-        # test_repeated_metric_names_collapse counts calls made in this
-        # process, which holds only while small contexts stay here.
-        def no_fork():
-            raise AssertionError("a toy context was evaluated in a child")
+    @pytest.mark.parametrize("evaluate_s", [0.0, 0.02], ids=["instant", "20ms"])
+    def test_forks_by_cpus_and_trials_alone(self, forced_fork, monkeypatch, evaluate_s):
+        # However fast a context evaluates, n trials on k CPUs run in
+        # min(k, n) processes.
+        def evaluate(ctx, metrics=DEFAULT_METRICS):
+            time.sleep(evaluate_s)
+            return {("linearity", None): 0.5}
 
-        monkeypatch.setattr(randomize, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(os, "fork", no_fork)
-        for metrics in (None, ("linearity",), ("intent-count", "linearity")):
-            run_trials(toy_context(), "column", 4, 0, metrics=metrics)
+        monkeypatch.setattr(randomize, "evaluate_metrics", evaluate)
+        fds = open_fd_count()
+        for n_trials in range(1, 6):
+            before = len(forced_fork.forks)
+            [summary] = run_trials(toy_context(), "column", n_trials, 0)
+            assert summary.trial_values == (0.5,) * n_trials
+            assert len(forced_fork.forks) - before == min(forced_fork.k, n_trials) - 1
+            assert_no_children()
+            assert open_fd_count() == fds
 
 
 class TestLiveInWaterIndistinguishable:
