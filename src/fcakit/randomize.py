@@ -14,21 +14,25 @@ are reproducible individually and independent of execution order.  The exact
 bit streams are those of the installed numpy, which reports its version in
 CLI metadata.
 
-``run_trials`` shuffles every trial in the calling process, then spreads the
-evaluations over k = min(CPUs of the process's affinity set, trials)
-processes, whatever the context: k - 1 forked children and the caller, each
-pinned to a CPU of its own, each child sending its results back through a
-pipe.  Results are gathered by trial index, so they do not depend on how many
-processes ran.  Where ``os.fork`` is missing, every trial runs in the caller.
+``run_trials`` spreads n + 1 units over k = min(CPUs of the process's
+affinity set, n trials) processes, whatever the context: unit 0 is the real
+context and unit i + 1 is trial i.  It forks k - 1 children before anything
+is evaluated, each pinned to a CPU of its own, and child 0 evaluates the real
+context while the caller seeds and shuffles every trial.  The caller then
+sends each child the rows of its trials through a pipe and gets its results
+back through another.  Results are gathered by unit, so they do not depend on
+how many processes ran.  Where ``os.fork`` is missing, every unit runs in the
+caller.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import BinaryIO, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -104,11 +108,35 @@ def shuffle(ctx: FormalContext, strategy: Strategy | str, seed: int) -> FormalCo
 
 def summarize(values: Sequence[float]) -> tuple[float, float, float, float, float]:
     """(min, q1, median, q3, max) with linear interpolation between order
-    statistics."""
+    statistics.
+
+    These are the values of ``np.quantile(values, [0, .25, .5, .75, 1])``,
+    bit for bit: the same virtual index, neighbours and interpolation as
+    numpy's "linear" method, taken from the sorted values.  ``np.quantile``
+    itself would import ``numpy.ma`` (through ``np.unique``), which nothing
+    else here needs.  Any NaN makes every value NaN, as in numpy.
+    """
     if len(values) == 0:
         raise ValueError("cannot summarize an empty value list")
-    q = np.quantile(np.asarray(values, dtype=float), [0.0, 0.25, 0.5, 0.75, 1.0])
-    return tuple(float(x) for x in q)  # type: ignore[return-value]
+    xs = sorted(float(v) for v in values)
+    if any(math.isnan(x) for x in xs):
+        return (math.nan,) * 5
+    n = len(xs)
+    out = []
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        index = (n - 1) * q
+        # From the last value on, numpy takes it as both neighbours, with
+        # the lower one at index -1.
+        if index >= n - 1:
+            below = -1
+            a = b = xs[-1]
+        else:
+            below = math.floor(index)
+            a, b = xs[below], xs[below + 1]
+        gamma = index - below
+        diff = b - a
+        out.append(a + diff * gamma if gamma < 0.5 else b - diff * (1 - gamma))
+    return tuple(out)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -139,6 +167,12 @@ DEFAULT_METRICS = COUNT_METRICS + SCALAR_METRICS
 MetricKey = tuple[str, int | None]
 
 
+def _check_metrics(metrics: Iterable[str]) -> None:
+    unknown = set(metrics) - set(DEFAULT_METRICS)
+    if unknown:
+        raise ValueError(f"unknown metrics: {sorted(unknown)}")
+
+
 def evaluate_metrics(
     ctx: FormalContext, metrics: Sequence[str] = DEFAULT_METRICS
 ) -> dict[MetricKey, float]:
@@ -147,9 +181,7 @@ def evaluate_metrics(
     Count metrics contribute a ``(name, None)`` total plus one ``(name, k)``
     entry per occupied element size; scalar metrics a single ``(name, None)``.
     """
-    unknown = set(metrics) - set(DEFAULT_METRICS)
-    if unknown:
-        raise ValueError(f"unknown metrics: {sorted(unknown)}")
+    _check_metrics(metrics)
     index = charsets.index_classes(ctx)
     out: dict[MetricKey, float] = {}
     for metric in metrics:
@@ -173,53 +205,73 @@ def _cpu_count() -> int:
 
 
 def _evaluate_trials(
-    trials: Sequence[FormalContext], names: Sequence[str], k: int
+    ctx: FormalContext,
+    strategy: Strategy,
+    n_trials: int,
+    seed: int,
+    names: Sequence[str],
+    k: int,
 ) -> list[dict[MetricKey, float]]:
-    """``evaluate_metrics`` of every trial, in trial order.
+    """``evaluate_metrics`` of every unit, in unit order: unit 0 is ``ctx``
+    and unit i + 1 is trial i.
 
     ``run_trials`` passes k = min(CPUs, trials), or 1 without ``os.fork``.
-    Stride w of k (trials w, w + k, ...) runs in forked child w, the last
+    Stride w of k (units w, w + k, ...) runs in forked child w, the last
     stride here.  A stride whose child cannot be forked also runs here.
-    Every child is reaped before this returns or raises, and killed first
-    when this process fails.
+    The children are forked before anything is evaluated, so child 0
+    evaluates the real context while this process seeds and shuffles every
+    trial, in trial order.  Each child then gets the rows of its trials
+    through a second pipe, child 0 last, because it reads them only once the
+    real context is done.  The trials are shuffled here, not in the
+    children, so that every seed and shuffle runs in this one process, in
+    trial order, whatever k is: a trace of this process counts all of them,
+    as the benchmark's tests pin.  Every child is reaped before this returns
+    or raises, and killed first when this process fails.
 
     Each stride is pinned to its own CPU of the affinity set, which this
     process gets back afterwards.  Where the kernel does not balance load
     between CPUs (a cpuset with ``sched_load_balance`` off), a forked child
     would otherwise stay on its parent's CPU and the two would share it.
     """
-    results: list = [None] * len(trials)
+    results: list = [None] * (n_trials + 1)
     local = [k - 1]
-    workers: list[tuple[int, int, int]] = []  # (stride, pid, read end)
+    # (stride, pid, result pipe read end, rows pipe write end)
+    workers: list[tuple[int, int, int, int]] = []
     payloads: list[bytes] = []
     statuses: list[int] = []
     cpus = sorted(os.sched_getaffinity(0)) if k > 1 and hasattr(os, "sched_setaffinity") else []
     try:
         for w in range(k - 1):
             _pin(cpus, w)
-            forked = _fork_worker(trials[w::k], names, [fd for _, _, fd in workers])
+            inherited = [fd for _, _, *fds in workers for fd in fds]
+            forked = _fork_worker(ctx, range(w, n_trials + 1, k), names, inherited)
             if forked is None:
                 local.append(w)
             else:
                 workers.append((w, *forked))
         _pin(cpus, k - 1)
+        contexts = [ctx]
+        contexts += (shuffle(ctx, strategy, derive_trial_seed(seed, i)) for i in range(n_trials))
+        for w, _, _, rows_end in reversed(workers):
+            _send_rows(rows_end, ctx, [contexts[u] for u in range(w, n_trials + 1, k) if u])
         for w in local:
-            results[w::k] = [evaluate_metrics(t, names) for t in trials[w::k]]
-        for _, _, read_end in workers:
-            with open(read_end, "rb", closefd=False) as pipe:
+            results[w::k] = [evaluate_metrics(unit, names) for unit in contexts[w::k]]
+        for _, _, result_end, _ in workers:
+            with open(result_end, "rb", closefd=False) as pipe:
                 payloads.append(pipe.read())
     finally:
         if len(payloads) < len(workers):
             import signal
 
-            for _, pid, _ in workers:
+            for _, pid, _, _ in workers:
                 os.kill(pid, signal.SIGKILL)
-        for _, pid, read_end in workers:
-            os.close(read_end)
+        for _, pid, result_end, rows_end in workers:
+            os.close(result_end)
+            os.close(rows_end)
             statuses.append(os.waitpid(pid, 0)[1])
         if cpus:
             os.sched_setaffinity(0, cpus)
-    for (w, _, _), data, status in zip(workers, payloads, statuses):
+    for (w, _, _, _), data, status in zip(workers, payloads, statuses):
         if status != 0:
             raise RuntimeError(f"trial worker {w} left no result (wait status {status})")
         ok, value = pickle.loads(data)
@@ -235,49 +287,95 @@ def _pin(cpus: list[int], w: int) -> None:
         os.sched_setaffinity(0, {cpus[w % len(cpus)]})
 
 
-def _fork_worker(
-    trials: Sequence[FormalContext], names: Sequence[str], inherited: list[int]
-) -> tuple[int, int] | None:
-    """Fork a child that evaluates ``trials``; its (pid, pipe read end), or
-    None when no pipe or process can be had.
+def _row_width(ctx: FormalContext) -> int:
+    """Bytes per row on a rows pipe: the row's own bytes, and at least one,
+    so that every row has a slice of its own."""
+    return max(1, (ctx.n_attrs + 7) // 8)
 
-    ``inherited`` are the read ends of earlier children, which the new child
-    closes, so that only this process holds each child's pipe.  The only
+
+def _send_rows(fd: int, ctx: FormalContext, trials: Sequence[FormalContext]) -> None:
+    """Write the rows of ``trials`` of ``ctx`` into a child's rows pipe,
+    little-endian, ``_row_width`` bytes each.
+
+    Compact rows keep the pipe's buffer from filling while child 0 is still
+    on the real context.  A child that failed there closed its end unread;
+    its result pipe says why.
+    """
+    width = _row_width(ctx)
+    view = memoryview(b"".join(row.to_bytes(width, "little") for t in trials for row in t.rows))
+    try:
+        while view:
+            view = view[os.write(fd, view) :]
+    except BrokenPipeError:
+        pass
+
+
+def _read_rows(ctx: FormalContext, pipe: BinaryIO, count: int) -> list[FormalContext]:
+    """The ``count`` trials of ``ctx`` whose rows ``_send_rows`` wrote."""
+    width = _row_width(ctx)
+    n_g = ctx.n_objects
+    data = pipe.read(count * n_g * width)
+    rows = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return [
+        FormalContext(ctx.object_names, ctx.attribute_names, rows[t * n_g : (t + 1) * n_g])
+        for t in range(count)
+    ]
+
+
+def _fork_worker(
+    ctx: FormalContext, units: range, names: Sequence[str], inherited: list[int]
+) -> tuple[int, int, int] | None:
+    """Fork a child that evaluates ``units``; its (pid, result pipe read
+    end, rows pipe write end), or None when no pipes or process can be had.
+
+    ``inherited`` are the pipe ends of earlier children, which the new child
+    closes, so that only this process holds each child's pipes.  The only
     other thread of a CLI process is numpy's OpenBLAS pool, which registers
     its own fork handler; the metrics call no BLAS routine.
     """
+    fds: list[int] = []
     try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        for fd in fds:
+            os.close(fd)
         return None
+    result_read, result_write, rows_read, rows_write = fds
     if pid == 0:
-        _worker(trials, names, write_end, [read_end, *inherited])
-    os.close(write_end)
-    return pid, read_end
+        _worker(ctx, units, names, result_write, rows_read, [result_read, rows_write, *inherited])
+    os.close(result_write)
+    os.close(rows_read)
+    return pid, result_read, rows_write
 
 
 def _worker(
-    trials: Sequence[FormalContext], names: Sequence[str], write_end: int, inherited: list[int]
+    ctx: FormalContext,
+    units: range,
+    names: Sequence[str],
+    result_end: int,
+    rows_end: int,
+    inherited: list[int],
 ) -> NoReturn:
-    """Body of a forked child: pickle (True, results) or (False, exception)
-    into the pipe.  It leaves only through ``os._exit``, so it never returns
-    into the caller's code or flushes the parent's stdio; exit status 1
-    means nothing complete was written."""
+    """Body of a forked child: evaluate the real context if unit 0 is among
+    ``units``, then read and evaluate the trials of the others, and pickle
+    (True, results) or (False, exception) into the result pipe.  It leaves
+    only through ``os._exit``, so it never returns into the caller's code or
+    flushes the parent's stdio; exit status 1 means nothing complete was
+    written."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
         try:
-            payload = (True, [evaluate_metrics(t, names) for t in trials])
+            results = [evaluate_metrics(ctx, names)] if units[0] == 0 else []
+            with open(rows_end, "rb") as pipe:
+                trials = _read_rows(ctx, pipe, len(units) - len(results))
+            payload = (True, results + [evaluate_metrics(t, names) for t in trials])
         except BaseException as exc:
             payload = (False, exc)
-        with open(write_end, "wb") as pipe:
+        with open(result_end, "wb") as pipe:
             pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
@@ -299,14 +397,18 @@ def run_trials(
     index.  A metric named more than once is evaluated and reported once, at
     its first position.
 
-    The real context is evaluated first, and every trial is seeded and
-    shuffled here, in trial order.  With k = min(CPUs in the affinity set,
-    ``n_trials``) > 1, forked child w evaluates trials w, w + k, ... and this
-    process the last stride; k is 1 where ``os.fork`` is missing.  So the
-    process layout depends only on the trial count and the CPUs, never on
-    the context or the host's speed.  An exception raised in a child is
-    raised here unchanged, after every child has been reaped; a child that
-    leaves no result raises ``RuntimeError``.
+    The real context is unit 0 and trial i is unit i + 1.  With k =
+    min(CPUs in the affinity set, ``n_trials``) > 1, forked child w
+    evaluates units w, w + k, ... and this process the last stride; k is 1
+    where ``os.fork`` is missing.  So the process layout depends only on the
+    trial count and the CPUs, never on the context or the host's speed.
+    Child 0 evaluates the real context while every trial is seeded and
+    shuffled here, in trial order, so that a trace of this process counts
+    them all; each child then gets the rows of its trials through a pipe.
+    Metric names are checked before anything is
+    forked or shuffled.  An exception raised in a child is raised here
+    unchanged, after every child has been reaped; a child that leaves no
+    result raises ``RuntimeError``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -314,10 +416,9 @@ def run_trials(
     names = tuple(dict.fromkeys(metrics)) if metrics is not None else DEFAULT_METRICS
     if not names:
         raise ValueError("metrics must name at least one metric")
-    real = evaluate_metrics(ctx, names)
-    trials = [shuffle(ctx, strategy, derive_trial_seed(seed, i)) for i in range(n_trials)]
+    _check_metrics(names)
     k = min(_cpu_count(), n_trials) if hasattr(os, "fork") else 1
-    trial_results = _evaluate_trials(trials, names, k)
+    real, *trial_results = _evaluate_trials(ctx, strategy, n_trials, seed, names, k)
 
     all_keys = set(real)
     for result in trial_results:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -12,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import fcakit
 from fcakit import (
     CapacityError,
     charsets,
@@ -292,6 +294,27 @@ class TestRandomize:
         assert twice == once
         assert len(calls) == 6
 
+    def test_never_imports_numpy_ma(self, tmp_path):
+        # np.quantile and a plain np.unique import numpy.ma, 5.5 ms that a
+        # randomize run does not need; passkeys' np.unique with
+        # return_inverse does not.  Only a fresh process can show it.
+        src = str(Path(fcakit.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys; from fcakit.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+        )
+        argv = [
+            "randomize", str(DATA_DIR / "live_in_water.cxt"), "--strategy", "column",
+            "--trials", "3", "--out", str(tmp_path / "r.json"),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"]
+
     def test_unknown_metric_is_input_error(self, capsys):
         code, _ = run_cli(
             capsys,
@@ -369,7 +392,7 @@ class TestForkedRandomize:
         assert message.startswith("fcakit: internal error: trial worker 0 left no result")
 
     def test_error_in_this_process_kills_and_reaps_children(self, forced_fork, capsys, monkeypatch):
-        # The real context is evaluated first; the next call here is this
+        # Child 0 holds the real context, so every call here is this
         # process's own share, after the children were forked.  Children
         # that would run on for 20 s are killed, not waited for.
         parent = os.getpid()

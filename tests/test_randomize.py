@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import errno
+import math
 import os
+import random
+import struct
 import time
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcakit import (
     FormalContext,
@@ -104,6 +111,20 @@ class TestColumnShuffle:
         assert abs(hits / 10_000 - 0.5) < 0.02
 
 
+@st.composite
+def summary_values(draw):
+    """1-40 finite floats or ints, often with repeats."""
+    element = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**70), 2**70),
+        st.integers(-3, 3),
+    )
+    pool = draw(st.lists(element, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        return pool
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
 class TestSummarize:
     def test_exact_positions(self):
         assert summarize([1, 2, 3, 4, 5]) == (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -117,6 +138,28 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @given(summary_values())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_quantile(self, values):
+        with np.errstate(all="ignore"):  # 1e308 - -1e308 overflows in both
+            want = np.quantile(np.asarray(values, dtype=float), [0.0, 0.25, 0.5, 0.75, 1.0])
+        got = summarize(values)
+        assert all(type(x) is float for x in got)
+        if {math.copysign(1.0, v) for v in values if v == 0} == {1.0, -1.0}:
+            # numpy's partition puts 0.0 and -0.0 in either order, so with
+            # both present the sign of a zero quartile depends on the input
+            # order; + 0.0 turns -0.0 into 0.0 and leaves the other bits.
+            got = tuple(x + 0.0 for x in got)
+            want = want + 0.0
+        assert struct.pack("<5d", *got) == want.tobytes()
+
+    def test_nan_makes_every_value_nan(self):
+        values = [3.0, math.nan, 1.0, 2.0]
+        want = np.quantile(np.asarray(values), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert all(math.isnan(x) for x in want)
+        assert all(math.isnan(x) for x in summarize(values))
+        assert all(math.isnan(x) for x in summarize([math.nan]))
 
 
 class TestRunTrials:
@@ -253,6 +296,97 @@ class TestForkedTrials:
         fds = open_fd_count()
         assert run_trials(demo, "column", 5, seed=2) == want
         assert open_fd_count() == fds
+
+    def test_unknown_metric_refused_before_forking(self, forced_fork, monkeypatch):
+        shuffles = []
+        monkeypatch.setattr(randomize, "shuffle", lambda *args: shuffles.append(args))
+        with pytest.raises(ValueError, match="unknown metrics"):
+            run_trials(toy_context(), "column", 4, 0, metrics=("intent-count", "bogus"))
+        assert forced_fork.forks == [] and shuffles == []
+
+    @pytest.mark.parametrize("layout", ["forked", "one CPU", "no fork"])
+    def test_real_context_runs_in_child_0(self, forced_fork, monkeypatch, tmp_path, layout):
+        # Each process that evaluates the real context writes its pid.
+        demo = grouped_demo_context()
+        want = run_sequentially(run_trials, demo, "column", 5, seed=4)
+        log = tmp_path / "real"
+        real = randomize.evaluate_metrics
+
+        def logging(ctx, metrics=DEFAULT_METRICS):
+            if ctx is demo:
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()}\n")
+            return real(ctx, metrics)
+
+        monkeypatch.setattr(randomize, "evaluate_metrics", logging)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        if layout == "one CPU":
+            monkeypatch.setattr(randomize, "_cpu_count", lambda: 1)
+        elif layout == "no fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        fds = open_fd_count()
+        assert run_trials(demo, "column", 5, seed=4) == want
+        assert_no_children()
+        assert open_fd_count() == fds
+        where = forced_fork.forks[:1] if layout == "forked" else [os.getpid()]
+        assert log.read_text().split() == [str(pid) for pid in where]
+
+    def test_real_context_error_in_child_0(self, forced_fork, monkeypatch):
+        # Child 0 fails on the real context and exits without reading its
+        # trials; the rows sent to it after that meet a closed pipe.
+        demo = grouped_demo_context()
+        parent = os.getpid()
+        real_evaluate, real_shuffle = randomize.evaluate_metrics, randomize.shuffle
+
+        def failing(ctx, metrics=DEFAULT_METRICS):
+            if ctx is demo and os.getpid() != parent:
+                raise ArithmeticError("the real context failed in child 0")
+            return real_evaluate(ctx, metrics)
+
+        def shuffle_after_child_0(*args):
+            os.waitid(os.P_PID, forced_fork.forks[0], os.WEXITED | os.WNOWAIT)
+            return real_shuffle(*args)
+
+        monkeypatch.setattr(randomize, "evaluate_metrics", failing)
+        monkeypatch.setattr(randomize, "shuffle", shuffle_after_child_0)
+        fds = open_fd_count()
+        with pytest.raises(ArithmeticError, match="failed in child 0") as raised:
+            run_trials(demo, "column", 7, seed=4)
+        assert type(raised.value) is ArithmeticError
+        assert raised.value.__context__ is None
+        assert_no_children()
+        assert open_fd_count() == fds
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 0, 3), (3, 0, 3), (1, 5, 4), (1000, 70, 30)],
+        ids=["0x0", "3x0", "1x5", "1000x70"],
+    )
+    def test_rows_reach_the_children_whole(self, forced_fork, monkeypatch, shape):
+        # Each unit's value is a digest of its rows.  At 1000x70 child 0's
+        # rows (9 bytes each) outgrow a 64 KB pipe buffer while it is still
+        # on the real context.
+        n_g, n_m, n_trials = shape
+        rnd = random.Random(n_g * n_m)
+        ctx = FormalContext(
+            tuple(f"g{i}" for i in range(n_g)),
+            tuple(f"m{j}" for j in range(n_m)),
+            tuple(rnd.getrandbits(n_m) for _ in range(n_g)),
+        )
+
+        def digest(unit, metrics=DEFAULT_METRICS):
+            if unit is ctx:
+                time.sleep(0.05)
+            return {("linearity", None): float(zlib.crc32(repr(unit.rows).encode()))}
+
+        monkeypatch.setattr(randomize, "evaluate_metrics", digest)
+        want = run_sequentially(run_trials, ctx, "column", n_trials, 9, metrics=("linearity",))
+        assert run_trials(ctx, "column", n_trials, 9, metrics=("linearity",)) == want
+        assert len(forced_fork.forks) == min(forced_fork.k, n_trials) - 1
+        assert_no_children()
 
     @pytest.mark.parametrize("evaluate_s", [0.0, 0.02], ids=["instant", "20ms"])
     def test_forks_by_cpus_and_trials_alone(self, forced_fork, monkeypatch, evaluate_s):
