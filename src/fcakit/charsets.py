@@ -13,8 +13,9 @@ attribute set:
 
 ``index_classes`` gives a ``ClassIndex``: every family and the concept
 lattice of one context, each computed on first use and then kept.  It is
-how the reports and every randomized trial reach the families.  All
-enumeration output is returned in lectic order.
+how the reports and every randomized trial reach the families.  Every
+family is returned as a ``context.LecticWords``: its distinct masks in
+lectic order, as a list and as one array.
 
 The basis scan (``_canonical_basis_scan``) walks the intents and the
 pseudo-intents in lectic order.  It takes the intents and the key family:
@@ -46,7 +47,6 @@ of the array paths live in the tests.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -107,7 +107,7 @@ class Implication:
             raise ValueError("premise and conclusion must be disjoint")
 
 
-def enumerate_intents(ctx: FormalContext) -> list[AttrSet]:
+def enumerate_intents(ctx: FormalContext) -> LecticWords:
     """All closed attribute sets, in lectic order.
 
     Every intent is the intersection of some subfamily of object rows, the
@@ -415,15 +415,16 @@ def _join_words(words: np.ndarray) -> np.ndarray:
 
 def _canonical_basis_scan(
     ctx: FormalContext, intents: LecticWords, keys: _Keys
-) -> list[tuple[AttrSet, AttrSet]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lectic walk of the quasi-closed sets, collecting basis premises.
 
     The intents together with the premises of the minimum-cardinality
     implication basis form a closure system of their own.  Walking it in
     lectic order with the usual next-closed-set step needs only the premises
     found so far, because every premise properly contained in the current
-    candidate is lectically smaller.  Returns ``(premise, premise_closure)``
-    pairs in lectic order.
+    candidate is lectically smaller.  Returns the premises and their
+    closures as two arrays of ``mask_dtype(n)``, in the premises' lectic
+    order.
 
     The walk numbers the attributes by ascending support, ties by index
     (``_scan_order``), so its most significant attribute is the rarest.
@@ -546,24 +547,20 @@ def _canonical_basis_scan(
     # The largest input first, while nothing else of the scan is held.
     unions = keys.open_unions(to_walk)
     known, known_closures = keys.quasi_closed(to_walk)
-    words = to_walk(intents.words)
-    intents = words[lectic_order(words)].tolist()
+    intents = set(to_walk(intents.words).tolist())
 
-    # intents[at] and known[kat] are the first intent and the first
-    # quasi-closed key the walk has not reached yet.
-    at = kat = 0
+    # known[kat] is the first quasi-closed key the walk has not reached yet.
+    kat = 0
     a = 0
     while True:
         if kat < len(known) and known[kat] == a:
             ca = known_closures[kat]
             kat += 1
-        elif at < len(intents) and intents[at] == a:
+        elif a in intents:
             ca = a
         else:
             ca = to_walk.mask(closure(ctx, from_walk.mask(a)))
-        if ca == a:
-            at += 1
-        else:
+        if ca != a:
             rules.add(a, ca)
         # The bit of the candidate that steps to the next quasi-closed key.
         step = 0
@@ -599,14 +596,14 @@ def _canonical_basis_scan(
     del unions, known, known_closures, intents
     premises, closures = (from_walk(masks) for masks in rules.masks())
     back = lectic_order(premises)
-    return list(zip(premises[back].tolist(), closures[back].tolist()))
+    return premises[back], closures[back]
 
 
 def enumerate_pseudo_intents(
     ctx: FormalContext,
     intents: list[AttrSet] | None = None,
     keys: _Keys | None = None,
-) -> list[AttrSet]:
+) -> LecticWords:
     """The premises of the canonical implication basis, in lectic order.
 
     ``intents`` and ``keys``, when given, must be the lists
@@ -617,7 +614,8 @@ def enumerate_pseudo_intents(
         intents = enumerate_intents(ctx)
     if keys is None:
         keys = enumerate_keys(ctx)
-    return [p for p, _ in _canonical_basis_scan(ctx, intents, keys)]
+    premises, _ = _canonical_basis_scan(ctx, intents, keys)
+    return LecticWords(premises)
 
 
 def dg_basis(ctx: FormalContext, keys: _Keys | None = None) -> list[Implication]:
@@ -627,8 +625,8 @@ def dg_basis(ctx: FormalContext, keys: _Keys | None = None) -> list[Implication]
     """
     if keys is None:
         keys = enumerate_keys(ctx)
-    scan = _canonical_basis_scan(ctx, enumerate_intents(ctx), keys)
-    return [Implication(p, c & ~p) for p, c in scan]
+    premises, closures = _canonical_basis_scan(ctx, enumerate_intents(ctx), keys)
+    return [Implication(p, c & ~p) for p, c in zip(premises.tolist(), closures.tolist())]
 
 
 def implication_closure(b: AttrSet, basis: Iterable[Implication]) -> AttrSet:
@@ -728,8 +726,8 @@ def _object_words(masks: Iterable[ObjSet], n_words: int) -> np.ndarray:
     return np.ascontiguousarray(rows.T, dtype=np.uint64)
 
 
-class _Keys(list):
-    """A context's full key family, in lectic order, with the family's
+class _Keys(LecticWords):
+    """A context's full key family, a ``LecticWords``, with the family's
     closures, passkeys, proper premises and quasi-closed keys.
 
     ``enumerate_keys`` returns one, and the key-family functions below and
@@ -738,10 +736,11 @@ class _Keys(list):
     them needs it.  ``closures`` maps each key to its closure and iterates
     in the keys' lectic order, which the results keep.
 
-    The family is held as arrays, level after level: ``_masks`` and
-    ``_sizes`` hold each key, of ``mask_dtype``, and its size (its level),
-    and column ``i`` of ``_extents`` its extent words, levels in order and
-    each level sorted; ``_order`` is the permutation to lectic order.
+    Beside ``words``, the family is held as arrays level after level:
+    ``_masks`` and ``_sizes`` hold each key, of ``mask_dtype``, and its
+    size (its level), and column ``i`` of ``_extents`` its extent words,
+    levels in order and each level sorted; ``_order`` is the permutation to
+    lectic order.
 
     Every one-element-removed subset of a key is a key, so the union of a
     key K with the closures of every K − {j} (``_unions``, kept once
@@ -762,12 +761,11 @@ class _Keys(list):
         self._subs = [p for _, _, p in levels]
         self._order = lectic_order(self._masks)
         self._columns = columns
-        super().__init__(self._masks[self._order].tolist())
+        super().__init__(self._masks[self._order])
 
-    def _lectic(self, flags: np.ndarray) -> np.ndarray:
-        """The positions of the keys whose ``flags`` entry is set, in
-        lectic order."""
-        return self._order[flags[self._order]]
+    def _select(self, flags: np.ndarray) -> LecticWords:
+        """The keys whose ``flags`` entry, in level order, is set."""
+        return LecticWords(self.words[flags[self._order]])
 
     @cached_property
     def _closure_words(self) -> np.ndarray:
@@ -792,11 +790,19 @@ class _Keys(list):
     def closures(self) -> dict[AttrSet, AttrSet]:
         return dict(zip(self, self._closure_words[self._order].tolist()))
 
-    def passkeys(self) -> list[AttrSet]:
+    @cached_property
+    def _class_minima(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(classes, which, best)``: the distinct closures, sorted, the
+        class of each key as a position in ``classes``, and the smallest
+        key size of each class."""
         classes, which = np.unique(self._closure_words, return_inverse=True)
         best = np.full(len(classes), self._sizes[-1])
         np.minimum.at(best, which, self._sizes)
-        return self._masks[self._lectic(self._sizes == best[which])].tolist()
+        return classes, which, best
+
+    def passkeys(self) -> LecticWords:
+        _, which, best = self._class_minima
+        return self._select(self._sizes == best[which])
 
     @cached_property
     def _unions(self) -> np.ndarray:
@@ -811,8 +817,8 @@ class _Keys(list):
                 level |= closures[start[k - 1] + row]
         return union
 
-    def proper_premises(self) -> list[AttrSet]:
-        return self._masks[self._lectic(self._unions != self._closure_words)].tolist()
+    def proper_premises(self) -> LecticWords:
+        return self._select(self._unions != self._closure_words)
 
     @cached_property
     def _is_quasi_closed(self) -> np.ndarray:
@@ -836,7 +842,7 @@ class _Keys(list):
         return dict(zip(masks, relabel(self._unions[rest]).tolist()))
 
 
-def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[AttrSet]:
+def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> LecticWords:
     """Keys of minimum cardinality within their closure class, lectic order.
 
     ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
@@ -848,7 +854,7 @@ def enumerate_passkeys(ctx: FormalContext, keys: _Keys | None = None) -> list[At
 
 def enumerate_proper_premises(
     ctx: FormalContext, keys: _Keys | None = None
-) -> list[AttrSet]:
+) -> LecticWords:
     """All proper premises, in lectic order (every proper premise is a key).
 
     ``keys``, when given, must be the list ``enumerate_keys(ctx)`` returned.
@@ -860,16 +866,13 @@ def enumerate_proper_premises(
 
 def min_key_sizes(ctx: FormalContext) -> dict[AttrSet, int]:
     """Minimum key cardinality per intent, keyed by the intent mask."""
-    best: dict[AttrSet, int] = {}
-    for k, c in enumerate_keys(ctx).closures.items():
-        size = k.bit_count()
-        if c not in best or size < best[c]:
-            best[c] = size
-    return best
+    classes, _, best = enumerate_keys(ctx)._class_minima
+    return dict(zip(classes.tolist(), best.tolist()))
 
 
 class ClassIndex:
-    """Every characteristic family and the concept lattice of one context.
+    """Every characteristic family, each a ``LecticWords``, and the concept
+    lattice of one context.
 
     Each is computed on first use and then kept, so a report or a trial
     pays only for what it reads, and only once.  Passkeys, proper premises
@@ -886,11 +889,11 @@ class ClassIndex:
         self.ctx = ctx
 
     @cached_property
-    def intents(self) -> list[AttrSet]:
+    def intents(self) -> LecticWords:
         return enumerate_intents(self.ctx)
 
     @cached_property
-    def pseudo_intents(self) -> list[AttrSet]:
+    def pseudo_intents(self) -> LecticWords:
         return enumerate_pseudo_intents(self.ctx, self.intents, self.keys)
 
     @cached_property
@@ -898,11 +901,11 @@ class ClassIndex:
         return enumerate_keys(self.ctx)
 
     @cached_property
-    def passkeys(self) -> list[AttrSet]:
+    def passkeys(self) -> LecticWords:
         return enumerate_passkeys(self.ctx, self.keys)
 
     @cached_property
-    def proper_premises(self) -> list[AttrSet]:
+    def proper_premises(self) -> LecticWords:
         return enumerate_proper_premises(self.ctx, self.keys)
 
     @cached_property
@@ -910,17 +913,10 @@ class ClassIndex:
         return lattice.build_lattice(self.intents)
 
     def sizes(self, family: str) -> dict[int, int]:
-        """Member count per element size of the family named ``family``.
-
-        A family that holds its members' masks (the intents) or their sizes
-        (the key family) counts them in one ``bincount``."""
-        members = getattr(self, family)
-        if isinstance(members, LecticWords):
-            counts = np.bincount(popcounts(members.words))
-        elif isinstance(members, _Keys):
-            counts = np.bincount(members._sizes)
-        else:
-            return Counter(mask.bit_count() for mask in members)
+        """Member count per element size of the family named ``family``:
+        one ``bincount`` of the sizes of its ``LecticWords`` array, in
+        ascending order of size."""
+        counts = np.bincount(popcounts(getattr(self, family).words))
         return {size: count for size, count in enumerate(counts.tolist()) if count}
 
 

@@ -10,8 +10,8 @@ refused above ``POWERSET_SCAN_LIMIT`` attributes.
 
 The canonical ("lectic") order used throughout treats the first attribute as
 most significant: a mask's rank is its bit-reversal within the context width.
-``lectic_sorted`` sorts Python ints by that rank, ``lectic_order`` sorts
-mask arrays, and a ``LecticWords`` list carries its sorted array along.
+``bit_reverse`` gives that rank, ``lectic_order`` sorts mask arrays by it,
+and a ``LecticWords`` list carries its sorted array along.
 
 The numpy paths hold masks in one array whose dtype ``mask_dtype`` picks
 from the width: ``uint64`` words up to 64 bits, ``object`` arrays of the
@@ -65,10 +65,6 @@ def bit_reverse(value: int, width: int) -> int:
     return int(f"{value:0{width}b}"[::-1], 2)
 
 
-def lectic_sorted(masks: Iterable[int], width: int) -> list[int]:
-    return sorted(masks, key=lambda m: bit_reverse(m, width))
-
-
 # _REV8[b] is the byte b with its eight bits in reverse order.
 _REV8 = np.array([bit_reverse(b, 8) for b in range(256)], dtype=np.uint8)
 
@@ -82,8 +78,8 @@ def mask_dtype(width: int) -> np.dtype:
 def lectic_order(words: np.ndarray) -> np.ndarray:
     """The permutation that sorts an array of masks lectically.
 
-    The array twin of ``lectic_sorted``.  A ``uint64`` array has each word
-    bit-reversed as a whole: every byte through a table, then the byte
+    Masks sort by their ``bit_reverse`` rank.  A ``uint64`` array has each
+    word bit-reversed as a whole: every byte through a table, then the byte
     order.  A mask of a ``width``-attribute context has no bit at or above
     ``width``, so its 64-bit reversal is its ``width``-bit one shifted left
     by ``64 - width``, which sorts alike.  No shift is made, so width 0 (all
@@ -131,14 +127,15 @@ class LecticWords(list):
     """Distinct masks in lectic order, also held as one array, ``words``, in
     the same order (of ``mask_dtype``: ``uint64`` up to 64 bits).
 
-    ``enumerate_intents`` returns one, and ``build_lattice`` and
+    Every characteristic family is one, and ``build_lattice`` and
     ``ClassIndex.sizes`` read its array instead of converting the list
-    back.  ``terms`` is a ``(2, len)`` array of the two lattice terms of
-    each mask, in the same order, which ``build_lattice`` hands to the
-    lattice.  The list and the arrays must agree, so none is changed.
+    back.  ``terms`` is ``None`` but on the intents, where it is a
+    ``(2, len)`` array of the two lattice terms of each mask, in the same
+    order, which ``build_lattice`` hands to the lattice.  The list and the
+    arrays must agree, so none is changed.
     """
 
-    def __init__(self, words: np.ndarray, terms: np.ndarray) -> None:
+    def __init__(self, words: np.ndarray, terms: np.ndarray | None = None) -> None:
         super().__init__(words.tolist())
         self.words = words
         self.terms = terms

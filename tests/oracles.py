@@ -6,10 +6,11 @@ enumerations in ``fcakit.charsets``.  ``classify`` and ``is_proper_premise``
 decide the flags of one subset from the definitions, through ``closure``
 and ``extent``.  ``build_descriptions_context`` and ``group_descriptions``
 walk the whole power set, the twin of ``summarize_descriptions``.
-``columns`` transposes a context bit by bit, the twin of
-``FormalContext.columns``, and ``intent_of`` tests one cross at a time, the
-twin of ``fcakit.context.intent_of``, which every ``closure`` the oracles
-take goes through.
+``lectic_sorted`` sorts Python ints by their ``bit_reverse`` rank, the twin
+of ``fcakit.context.lectic_order``.  ``columns`` transposes a context bit
+by bit, the twin of ``FormalContext.columns``, and ``intent_of`` tests one
+cross at a time, the twin of ``fcakit.context.intent_of``, which every
+``closure`` the oracles take goes through.
 
 ``scalar_keys`` and ``pair_loop`` are the Python twins of the library's
 array paths, at any width: the levelwise key search with the family's
@@ -34,7 +35,6 @@ from fcakit.context import (
     closure,
     extent,
     iter_bits,
-    lectic_sorted,
 )
 from fcakit.context import intent_of as context_intent_of
 from fcakit.descriptions import DescriptionRow, flags_pattern
@@ -66,6 +66,12 @@ def intent_of(ctx: FormalContext, objs: int) -> AttrSet:
         for j in range(ctx.n_attrs)
         if all(ctx.rows[g] >> j & 1 for g in iter_bits(objs))
     )
+
+
+def lectic_sorted(masks: Iterable[int], width: int) -> list[int]:
+    """``masks`` sorted by their ``bit_reverse`` rank, the twin of
+    ``fcakit.context.lectic_order``."""
+    return sorted(masks, key=lambda m: bit_reverse(m, width))
 
 
 def iter_lectic_masks(width: int) -> Iterator[int]:

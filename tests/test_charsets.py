@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -33,7 +34,7 @@ from fcakit.charsets import (
     _WordRules,
     min_key_sizes,
 )
-from fcakit.context import LecticWords, bit_reverse, iter_bits, lectic_sorted, mask_dtype
+from fcakit.context import LecticWords, bit_reverse, iter_bits, mask_dtype
 from fcakit.randomize import DEFAULT_METRICS, evaluate_metrics
 
 from conftest import (
@@ -50,6 +51,7 @@ from oracles import (
     brute_force_class,
     classify,
     is_proper_premise,
+    lectic_sorted,
     pair_loop,
     scalar_keys,
 )
@@ -484,9 +486,16 @@ def scan_step_case(
     return rules, x, ~work & (bit - 1)
 
 
+def scan_pairs(ctx: FormalContext, intents, keys) -> list[tuple[int, int]]:
+    """The library scan's premise and closure arrays, zipped into pairs."""
+    premises, closures = _canonical_basis_scan(ctx, intents, keys)
+    assert premises.dtype == closures.dtype == mask_dtype(ctx.n_attrs)
+    return list(zip(premises.tolist(), closures.tolist()))
+
+
 def basis_scan(ctx: FormalContext) -> list[tuple[int, int]]:
     """The library scan, given the intents and the key family."""
-    return _canonical_basis_scan(ctx, enumerate_intents(ctx), enumerate_keys(ctx))
+    return scan_pairs(ctx, enumerate_intents(ctx), enumerate_keys(ctx))
 
 
 def move_bits(mask: int, perm) -> int:
@@ -634,7 +643,7 @@ class TestScanOrder:
             intents, keys = enumerate_intents(ctx), enumerate_keys(ctx)
             for order in SCAN_ORDERS.values():
                 monkeypatch.setattr(charsets, "_scan_order", order)
-                assert _canonical_basis_scan(ctx, intents, keys) == want
+                assert scan_pairs(ctx, intents, keys) == want
 
     def test_order_is_ascending_support(self):
         # Ties are broken by index: the 8x8 contranominal scale has equal
@@ -707,7 +716,7 @@ class TestPseudoIntentsFromIntents:
             assert premises() == plain, route
             assert [attrs for _, attrs in closures] == unkeyed, route
             closures.clear()
-        assert _canonical_basis_scan(ctx, intents, keys) == scalar_basis_scan(ctx)
+        assert scan_pairs(ctx, intents, keys) == scalar_basis_scan(ctx)
         return plain
 
     def test_fuzz_corpus_against_oracle(self, monkeypatch):
@@ -1305,25 +1314,44 @@ def test_trial_metrics_at_70_attributes():
 
 
 class TestSizes:
-    """``ClassIndex.sizes``: one ``bincount`` for the intents and the key
-    family, a ``Counter`` otherwise; every path counts the same."""
+    """``ClassIndex.sizes``: one ``bincount`` of the sizes in each family's
+    ``LecticWords`` array, which counts as the members' bit counts do."""
 
     @pytest.mark.parametrize("width", [12, 70])
     def test_counts_match_bit_counts(self, width):
         ctx = wide_context(width, 12, seed=width)
         index = index_classes(ctx)
-        for family in ("intents", "pseudo_intents", "keys", "passkeys", "proper_premises"):
-            expected = Counter(m.bit_count() for m in getattr(index, family))
+        enumerated = {
+            "intents": enumerate_intents(ctx),
+            "pseudo_intents": enumerate_pseudo_intents(ctx),
+            "proper_premises": enumerate_proper_premises(ctx),
+            "keys": enumerate_keys(ctx),
+            "passkeys": enumerate_passkeys(ctx),
+        }
+        for family in index.FAMILIES:
+            members = getattr(index, family)
+            for found in (members, enumerated[family]):
+                assert isinstance(found, LecticWords), family
+                assert found.words.dtype == mask_dtype(width), family
+                assert found.words.tolist() == found == members, family
+                assert (found.terms is None) == (family != "intents"), family
+            expected = Counter(m.bit_count() for m in members)
             assert index.sizes(family) == dict(expected), family
-        assert isinstance(index.intents, LecticWords)
-        assert (index.intents.words.dtype == object) == (width > 64)
 
     def test_fuzz_corpus(self):
         for ctx in acceptance_corpus()[::5]:
             index = index_classes(ctx)
-            for family in ("intents", "keys"):
+            for family in index.FAMILIES:
                 expected = Counter(m.bit_count() for m in getattr(index, family))
-                assert index.sizes(family) == dict(expected)
+                assert index.sizes(family) == dict(expected), family
+
+    def test_empty_family(self):
+        # Every subset of the contranominal scale is closed, so it has no
+        # pseudo-intents, and its empty array counts no size.
+        index = index_classes(contranominal_context(6))
+        assert index.pseudo_intents == [] and index.pseudo_intents.words.dtype == np.uint64
+        assert index.sizes("pseudo_intents") == {}
+        assert index.sizes("intents") == {k: math.comb(6, k) for k in range(7)}
 
 
 class TestKeyClosures:

@@ -295,25 +295,31 @@ class TestRandomize:
         assert len(calls) == 6
 
     def test_never_imports_numpy_ma(self, tmp_path):
-        # np.quantile and a plain np.unique import numpy.ma, 5.5 ms that a
-        # randomize run does not need; passkeys' np.unique with
-        # return_inverse does not.  Only a fresh process can show it.
+        # np.quantile and a plain np.unique import numpy.ma, 5.5 ms that no
+        # command needs; np.unique with return_inverse, as the key family's
+        # class minima take it, does not.  Each command runs in turn in one
+        # fresh process, as only a fresh process can show the import.
         src = str(Path(fcakit.__file__).parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         script = (
-            "import sys; from fcakit.cli import main; "
-            "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+            "import json, sys\n"
+            "from fcakit.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(argv[0], main(argv), 'numpy.ma' in sys.modules)\n"
         )
-        argv = [
-            "randomize", str(DATA_DIR / "live_in_water.cxt"), "--strategy", "column",
-            "--trials", "3", "--out", str(tmp_path / "r.json"),
+        ctx = str(DATA_DIR / "live_in_water.cxt")
+        runs = [
+            ["analyze", ctx, "--out", str(tmp_path / "a.json")],
+            ["describe", ctx, "--out", str(tmp_path / "d")],
+            ["indices", ctx, "--out", str(tmp_path / "i.json")],
+            ["randomize", ctx, "--strategy", "column", "--trials", "3", "--out", str(tmp_path / "r.json")],
         ]
         proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
+            [sys.executable, "-c", script, json.dumps(runs)],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True, text=True, check=True, timeout=120,
         )
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in runs]
 
     def test_unknown_metric_is_input_error(self, capsys):
         code, _ = run_cli(

@@ -28,7 +28,6 @@ from fcakit.context import (
     bit_reverse,
     iter_bits,
     lectic_order,
-    lectic_sorted,
     mask_dtype,
     popcounts,
 )
@@ -43,7 +42,7 @@ from conftest import (
     nominal_context,
     realistic_context,
 )
-from oracles import columns, iter_lectic_masks
+from oracles import columns, iter_lectic_masks, lectic_sorted
 from oracles import intent_of as literal_intent_of
 
 

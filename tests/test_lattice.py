@@ -23,7 +23,7 @@ from fcakit import (
     serialize_burmeister,
 )
 from fcakit.cli import main
-from fcakit.context import lectic_sorted, popcounts
+from fcakit.context import popcounts
 from fcakit.lattice import (
     _cube_pair_counts,
     _cubes_pay,
@@ -36,7 +36,7 @@ from fcakit.lattice import (
     pair_total,
 )
 
-from oracles import pair_loop
+from oracles import lectic_sorted, pair_loop
 
 from conftest import (
     contexts,
